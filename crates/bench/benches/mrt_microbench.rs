@@ -3,7 +3,8 @@
 //!
 //! The `probe/*` routines time the MRT's innermost operations (the
 //! free-slot probe, place/eject churn, conflict reporting, occupancy reads)
-//! in isolation; `schedtime/*` times full MIRS-C passes over a loopgen
+//! in isolation, including the closed-form probe of a long unpipelined
+//! table folded onto a small II; `schedtime/*` times full MIRS-C passes over a loopgen
 //! workbench through the harness's timed-runner mode — the number behind
 //! the paper's Table 3 scheduling-time comparison.
 
@@ -52,11 +53,33 @@ fn mrt_probes(c: &mut Criterion) {
         })
     });
 
+    // A 30-cycle square root at II = 8 wraps onto itself three to four
+    // times per slot of a free row; each probe folds its single run in
+    // closed form (8 cells) instead of comparing 30 uses pairwise.
+    let sqrt = ReservationTable::for_op(Opcode::FpSqrt, ClusterId(0), &lat);
+    let mut small = PartialSchedule::new(&machine, 8);
+    for i in 0..4u32 {
+        small.place(ddg::NodeId(i), i64::from(i), ClusterId(0), load);
+    }
+    g.bench_function("probe/can_place_sqrt_small_ii", |b| {
+        b.iter(|| {
+            let mut hits = 0u32;
+            for cycle in 0..64i64 {
+                hits += u32::from(small.can_place(&sqrt, cycle));
+                hits += u32::from(small.can_place(&div, cycle));
+                hits += u32::from(small.intrinsically_infeasible(&sqrt));
+            }
+            hits
+        })
+    });
+
     g.bench_function("probe/conflicts", |b| {
+        let mut out = Vec::new();
         b.iter(|| {
             let mut total = 0usize;
             for cycle in 0..64i64 {
-                total += s.conflicts(&add, cycle).len();
+                s.conflicts(&add, cycle, &mut out);
+                total += out.len();
             }
             total
         })

@@ -1,7 +1,7 @@
 //! Cluster selection and inter-cluster move insertion (Section 3.3).
 
 use crate::scheduler::SchedState;
-use ddg::{NodeId, NodeOrigin, OperationData, ValueId};
+use ddg::{DepEdge, NodeId, NodeOrigin, OperationData, ValueId};
 use vliw::{ClusterId, OpClass, Opcode, ResourceKind};
 
 impl SchedState<'_, '_> {
@@ -74,17 +74,24 @@ impl SchedState<'_, '_> {
             }
         }
         // Exports: already scheduled consumers of any produced value in
-        // other clusters (one move per destination cluster per value).
+        // other clusters (one move per destination cluster per value). A
+        // consumer counts when no earlier consumer shares its cluster —
+        // consumer lists are short, and this needs no set for any cluster
+        // count.
         let export_count = |v: ValueId| -> usize {
-            let mut dst_clusters: Vec<ClusterId> = Vec::new();
-            for &c in self.graph.consumer_ids(v) {
-                if let Some(cc) = self.sched.cluster_of(c) {
-                    if cc != cluster && !dst_clusters.contains(&cc) {
-                        dst_clusters.push(cc);
-                    }
-                }
-            }
-            dst_clusters.len()
+            let consumers = self.graph.consumer_ids(v);
+            let remote = |c: NodeId| self.sched.cluster_of(c).filter(|&cc| cc != cluster);
+            consumers
+                .iter()
+                .enumerate()
+                .filter(|&(i, &c)| {
+                    remote(c).is_some_and(|cc| {
+                        !consumers[..i]
+                            .iter()
+                            .any(|&p| self.sched.cluster_of(p) == Some(cc))
+                    })
+                })
+                .count()
         };
         if let Some(dest) = self.graph.op(node).dest {
             count += export_count(dest);
@@ -120,12 +127,12 @@ impl SchedState<'_, '_> {
     /// A live move node that already transports `value` into `cluster`, if
     /// any — an O(1) read of the index `create_move`/`remove_move` maintain.
     fn move_of_value_into(&self, value: ValueId, cluster: ClusterId) -> Option<NodeId> {
-        let found = self.move_into.get(&(value, cluster)).copied();
+        let found = self.ledger.move_into(value, cluster);
         debug_assert_eq!(
             found,
             self.graph.node_ids().find(|&n| {
                 matches!(self.graph.op(n).origin, NodeOrigin::Move { value: v } if v == value)
-                    && self.move_route.get(&n).map(|&(_, d)| d) == Some(cluster)
+                    && self.ledger.move_route.get(n).map(|&(_, d)| d) == Some(cluster)
             })
         );
         found
@@ -146,8 +153,13 @@ impl SchedState<'_, '_> {
         let mut new_moves = Vec::new();
 
         // --- imports -------------------------------------------------------
-        let srcs = self.graph.op(node).srcs().to_vec();
-        for v in srcs {
+        // The operand list is read live, slot by slot: the rewiring below
+        // only rewrites slots holding the operand being handled, so every
+        // later slot still holds its original value — or an operand already
+        // imported, which the checks below pass over.
+        let mut slot = 0;
+        while let Some(&v) = self.graph.op(node).srcs().get(slot) {
+            slot += 1;
             if self.graph.value(v).invariant {
                 continue;
             }
@@ -164,7 +176,7 @@ impl SchedState<'_, '_> {
             // the rewiring and import from the root value instead.
             let (v, producer) = if self.graph.op(producer).opcode.is_move()
                 && self.sched.cluster_of(producer).is_none()
-                && self.move_route.get(&producer).map(|&(_, d)| d) != Some(cluster)
+                && self.ledger.move_route.get(producer).map(|&(_, d)| d) != Some(cluster)
             {
                 match self.unwire_stale_move(node, v, producer) {
                     Some(root) => root,
@@ -262,8 +274,8 @@ impl SchedState<'_, '_> {
         data.name = format!("move {}->{}", src, dst);
         let mv = self.graph.add_node(data);
         self.graph.add_flow(producer, mv, value, 0);
-        self.move_route.insert(mv, (src, dst));
-        self.move_into.insert((value, dst), mv);
+        self.ledger.move_route.insert(mv, (src, dst));
+        self.ledger.set_move_into(value, dst, Some(mv));
         self.plist.register_with_anchor(mv, anchor);
         self.stats.moves += 1;
         self.pressure.mark_value(value);
@@ -290,22 +302,12 @@ impl SchedState<'_, '_> {
         };
         // Detach the mv -> consumer flow (remembering the iteration
         // distance the rewiring preserved).
-        let mut distance = 0;
-        let mut to_remove = Vec::new();
-        for e in self.graph.in_edges(consumer) {
-            let edge = *self.graph.edge(e);
-            if edge.from == mv && edge.value == Some(copy) {
-                distance = edge.distance;
-                to_remove.push(e);
-            }
-        }
-        for e in to_remove {
-            self.graph.remove_edge(e);
-        }
+        let distance =
+            self.remove_in_edges(consumer, |edge| edge.from == mv && edge.value == Some(copy));
         self.graph.replace_src(consumer, copy, root);
         let producer = self.graph.value(root).producer;
         if let Some(p) = producer {
-            let already = self.graph.in_edges(consumer).iter().any(|&e| {
+            let already = self.graph.in_edge_ids(consumer).iter().any(|&e| {
                 let edge = self.graph.edge(e);
                 edge.from == p && edge.value == Some(root)
             });
@@ -324,6 +326,29 @@ impl SchedState<'_, '_> {
         producer.map(|p| (root, p))
     }
 
+    /// Remove every in-edge of `consumer` matching `matches`, in place and
+    /// in list order (the order the graph journal records, and so the order
+    /// a rollback replays), and return the iteration distance of the last
+    /// removed edge (0 when none matched).
+    pub(crate) fn remove_in_edges(
+        &mut self,
+        consumer: NodeId,
+        matches: impl Fn(&DepEdge) -> bool,
+    ) -> u32 {
+        let mut distance = 0;
+        let mut i = 0;
+        while let Some(&e) = self.graph.in_edge_ids(consumer).get(i) {
+            let edge = self.graph.edge(e);
+            if matches(edge) {
+                distance = edge.distance;
+                self.graph.remove_edge(e);
+            } else {
+                i += 1;
+            }
+        }
+        distance
+    }
+
     /// Rewire `consumer` so it reads the value defined by move `mv` instead
     /// of `original`: the operand list is updated, the direct flow edge from
     /// the original producer is removed, and a flow edge from the move is
@@ -331,21 +356,12 @@ impl SchedState<'_, '_> {
     pub(crate) fn rewire_consumer(&mut self, consumer: NodeId, original: ValueId, mv: NodeId) {
         let copy = self.graph.op(mv).dest.expect("moves define a value");
         // Find (and remove) the direct flow edge carrying `original`.
-        let mut distance = 0;
-        let mut to_remove = Vec::new();
-        for e in self.graph.in_edges(consumer) {
-            let edge = *self.graph.edge(e);
-            if edge.value == Some(original) && edge.from != mv {
-                distance = edge.distance;
-                to_remove.push(e);
-            }
-        }
-        for e in to_remove {
-            self.graph.remove_edge(e);
-        }
+        let distance = self.remove_in_edges(consumer, |edge| {
+            edge.value == Some(original) && edge.from != mv
+        });
         self.graph.replace_src(consumer, original, copy);
         // Avoid duplicate edges if the consumer was already rewired.
-        let already = self.graph.in_edges(consumer).iter().any(|&e| {
+        let already = self.graph.in_edge_ids(consumer).iter().any(|&e| {
             let edge = self.graph.edge(e);
             edge.from == mv && edge.value == Some(copy)
         });

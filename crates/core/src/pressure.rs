@@ -219,16 +219,13 @@ impl PressureTracker {
     /// Lifetime intervals currently contributing to `cluster`, in value-id
     /// order — the iteration order the spill-candidate selection depends on
     /// for deterministic tie-breaking (requires a preceding flush).
-    pub fn intervals_for(&self, cluster: usize) -> Vec<LifetimeInterval> {
-        self.recorded
-            .iter()
-            .filter_map(|c| match c {
-                Contribution::Interval {
-                    cluster: cl,
-                    interval,
-                } if *cl == cluster => Some(*interval),
-                _ => None,
-            })
-            .collect()
+    pub fn intervals_for(&self, cluster: usize) -> impl Iterator<Item = LifetimeInterval> + '_ {
+        self.recorded.iter().filter_map(move |c| match c {
+            Contribution::Interval {
+                cluster: cl,
+                interval,
+            } if *cl == cluster => Some(*interval),
+            _ => None,
+        })
     }
 }

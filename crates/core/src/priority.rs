@@ -1,6 +1,6 @@
 //! The priority list driving the iterative scheduler.
 
-use ddg::collections::HashMap;
+use ddg::collections::IdMap;
 use ddg::NodeId;
 
 /// Priority list of nodes waiting to be scheduled.
@@ -10,10 +10,18 @@ use ddg::NodeId;
 /// return to the list with their *original* priority; spill and move nodes
 /// inherit the priority of their associated producer/consumer (minus a small
 /// bias so they are picked just before it).
+///
+/// Equal ranks do occur (two moves anchored at one node both get the
+/// anchor's rank − 0.5); among them the node *earliest in `pending`* wins.
+/// `pop` finds it with a linear scan and removes it with `swap_remove`, and
+/// that exact position bookkeeping is part of the scheduler's observable
+/// behaviour — a heap would order such ties differently.
 #[derive(Debug, Clone, Default)]
 pub struct PriorityList {
-    /// Rank of every known node (lower = more urgent).
-    rank: HashMap<NodeId, f64>,
+    /// Rank of every known node (lower = more urgent), by node index.
+    rank: IdMap<NodeId, f64>,
+    /// Whether each node is currently in `pending`, by node index.
+    queued: Vec<bool>,
     /// Nodes currently waiting.
     pending: Vec<NodeId>,
 }
@@ -35,10 +43,23 @@ impl PriorityList {
     /// [`PriorityList::from_order`] on a warmed buffer.
     pub fn reset_from_order(&mut self, order: &[NodeId]) {
         self.rank.clear();
+        self.queued.clear();
         self.pending.clear();
-        self.pending.extend_from_slice(order);
         for (i, &n) in order.iter().enumerate() {
             self.rank.insert(n, i as f64);
+            self.enqueue(n);
+        }
+    }
+
+    /// Append `node` to `pending` unless it is already waiting.
+    fn enqueue(&mut self, node: NodeId) {
+        let i = node.index();
+        if i >= self.queued.len() {
+            self.queued.resize(i + 1, false);
+        }
+        if !self.queued[i] {
+            self.queued[i] = true;
+            self.pending.push(node);
         }
     }
 
@@ -57,10 +78,11 @@ impl PriorityList {
     /// Rank of a node (lower is more urgent), if known.
     #[must_use]
     pub fn rank_of(&self, node: NodeId) -> Option<f64> {
-        self.rank.get(&node).copied()
+        self.rank.get(node).copied()
     }
 
-    /// Pop the highest-priority waiting node.
+    /// Pop the highest-priority waiting node (the earliest in `pending`
+    /// among equal ranks).
     pub fn pop(&mut self) -> Option<NodeId> {
         if self.pending.is_empty() {
             return None;
@@ -69,57 +91,58 @@ impl PriorityList {
             .pending
             .iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let ra = self.rank.get(a).copied().unwrap_or(f64::MAX);
-                let rb = self.rank.get(b).copied().unwrap_or(f64::MAX);
+            .min_by(|(_, &a), (_, &b)| {
+                let ra = self.rank_of(a).unwrap_or(f64::MAX);
+                let rb = self.rank_of(b).unwrap_or(f64::MAX);
                 ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("pending is non-empty");
-        Some(self.pending.swap_remove(idx))
+        let node = self.pending.swap_remove(idx);
+        self.queued[node.index()] = false;
+        Some(node)
     }
 
     /// Return a node to the list with its original priority (after an
     /// ejection). Does nothing if the node is already waiting.
     pub fn push_back(&mut self, node: NodeId) {
         debug_assert!(
-            self.rank.contains_key(&node),
+            self.rank.contains_key(node),
             "push_back of a node without a registered priority"
         );
-        if !self.pending.contains(&node) {
-            self.pending.push(node);
-        }
+        self.enqueue(node);
     }
 
     /// Register a node inserted during scheduling (spill or move) with a
     /// priority derived from `anchor` (it will be picked just before the
     /// anchor would be re-picked) and add it to the list.
     pub fn insert_with_anchor(&mut self, node: NodeId, anchor: NodeId) {
-        let base = self.rank.get(&anchor).copied().unwrap_or(0.0);
-        self.rank.insert(node, base - 0.5);
-        if !self.pending.contains(&node) {
-            self.pending.push(node);
-        }
+        self.register_with_anchor(node, anchor);
+        self.enqueue(node);
     }
 
     /// Register a priority for a node derived from `anchor` without adding
     /// it to the pending list (used for move nodes that are scheduled
     /// immediately but may be ejected and re-queued later).
     pub fn register_with_anchor(&mut self, node: NodeId, anchor: NodeId) {
-        let base = self.rank.get(&anchor).copied().unwrap_or(0.0);
+        let base = self.rank_of(anchor).unwrap_or(0.0);
         self.rank.insert(node, base - 0.5);
     }
 
     /// Remove a node from the list and forget its priority (used when a
     /// move or spill node is deleted from the graph before being placed).
     pub fn remove(&mut self, node: NodeId) {
-        self.pending.retain(|&n| n != node);
-        self.rank.remove(&node);
+        if self.contains(node) {
+            // Order-preserving: the survivors' positions decide rank ties.
+            self.pending.retain(|&n| n != node);
+            self.queued[node.index()] = false;
+        }
+        self.rank.remove(node);
     }
 
     /// Whether the node is currently waiting in the list.
     #[must_use]
     pub fn contains(&self, node: NodeId) -> bool {
-        self.pending.contains(&node)
+        self.queued.get(node.index()).copied().unwrap_or(false)
     }
 }
 
@@ -168,6 +191,31 @@ mod tests {
         assert_eq!(pl.pop(), Some(NodeId(1)));
         assert_eq!(pl.pop(), Some(NodeId(10)));
         assert_eq!(pl.pop(), Some(NodeId(2)));
+    }
+
+    /// Equal ranks pop in `pending` position order, and `pop`'s
+    /// `swap_remove` moves the last waiting node into the popped slot — the
+    /// exact tie-break the scheduler's golden schedules depend on.
+    #[test]
+    fn equal_ranks_pop_in_pending_position_order() {
+        let order = [NodeId(1), NodeId(2), NodeId(3)];
+        let mut pl = PriorityList::from_order(&order);
+        // Two moves anchored at node 3 share rank 2 − 0.5.
+        pl.insert_with_anchor(NodeId(10), NodeId(3));
+        pl.insert_with_anchor(NodeId(11), NodeId(3));
+        assert_eq!(pl.rank_of(NodeId(10)), pl.rank_of(NodeId(11)));
+        // pending: [1, 2, 3, 10, 11]; popping 1 swaps 11 into slot 0,
+        // popping 2 swaps 10 into slot 1.
+        assert_eq!(pl.pop(), Some(NodeId(1)));
+        assert_eq!(pl.pop(), Some(NodeId(2)));
+        // pending: [11, 10, 3]: 11 is now ahead of 10.
+        assert_eq!(pl.pop(), Some(NodeId(11)));
+        // Node 11 is ejected and returns behind 10.
+        pl.push_back(NodeId(11));
+        assert_eq!(pl.pop(), Some(NodeId(10)));
+        assert_eq!(pl.pop(), Some(NodeId(11)));
+        assert_eq!(pl.pop(), Some(NodeId(3)));
+        assert_eq!(pl.pop(), None);
     }
 
     #[test]

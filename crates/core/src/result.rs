@@ -337,7 +337,7 @@ impl ScheduleResult {
             } else {
                 machine.reservation(op.opcode, p.cluster)
             };
-            for u in &rt {
+            for u in rt.iter() {
                 let slot = (p.cycle + i64::from(u.offset)).rem_euclid(i64::from(self.ii)) as u32;
                 let e = usage.entry((u.kind, slot)).or_insert(0);
                 *e += 1;

@@ -7,13 +7,19 @@
 //! [`vliw::ResourceIndexer`], so a capacity probe is a couple of array reads
 //! instead of hash-map lookups, and `place`/`eject` maintain per-kind
 //! occupancy totals incrementally instead of rescanning the table.
+//!
+//! Reservation tables arrive as runs (one resource held for consecutive
+//! cycles), and each run is folded into the MRT in closed form: a run of
+//! `count` cycles covers `min(count, II)` consecutive slots, the j-th of
+//! them `count / II + (j < count % II)` times. Placements are stored per
+//! node index, so the schedule's node lookups are array reads too.
 
-use ddg::collections::HashMap;
+use ddg::collections::IdMap;
 use ddg::NodeId;
 use vliw::{ClusterId, MachineConfig, ReservationTable, ResourceIndexer, ResourceKind};
 
 /// Placement of one node in the partial schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PlacementInfo {
     /// Absolute issue cycle (may be negative before normalization).
     pub cycle: i64,
@@ -25,6 +31,53 @@ pub(crate) struct PlacementInfo {
     /// Forcing-and-Ejection heuristic to pick the first-placed conflicting
     /// operation.
     pub order: u64,
+}
+
+/// One MRT cell a reservation table covers at some issue cycle.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    /// Flat index into `counts` / `occupants`.
+    index: usize,
+    /// Dense resource index of the cell's row.
+    kind: usize,
+    /// Number of the table's uses landing in this cell (more than one when
+    /// a run spans more than II cycles and wraps onto itself).
+    uses: u32,
+}
+
+/// Visit every cell `rt` covers when issued at `cycle`, run by run, in
+/// closed form. Stops early — returning `false` — as soon as `visit` does.
+/// The runs of one table have distinct resource kinds, so no cell is
+/// visited twice. The single home of the cell arithmetic that `can_place`,
+/// `conflicts`, `intrinsically_infeasible`, `place` and `eject` share.
+fn for_each_cell(
+    indexer: ResourceIndexer,
+    ii: u32,
+    rt: &ReservationTable,
+    cycle: i64,
+    mut visit: impl FnMut(Cell) -> bool,
+) -> bool {
+    for run in rt.runs() {
+        let kind = indexer.index_of(run.kind);
+        let row = kind * ii as usize;
+        let mut slot = (cycle + i64::from(run.offset)).rem_euclid(i64::from(ii)) as u32;
+        let (full, extra) = (run.count / ii, run.count % ii);
+        for j in 0..run.count.min(ii) {
+            let cell = Cell {
+                index: row + slot as usize,
+                kind,
+                uses: full + u32::from(j < extra),
+            };
+            if !visit(cell) {
+                return false;
+            }
+            slot += 1;
+            if slot == ii {
+                slot = 0;
+            }
+        }
+    }
+    true
 }
 
 /// A partial modulo schedule: node placements plus a flat modulo reservation
@@ -43,15 +96,18 @@ pub struct PartialSchedule {
     caps: Vec<u32>,
     /// Occupancy count per `[resource-index × II-slot]` cell.
     counts: Vec<u32>,
-    /// Occupying nodes per cell (needed by conflict reporting and ejection;
-    /// a forced placement may push the same node twice into one cell when
-    /// its reservation table self-overlaps modulo the II).
+    /// Distinct occupying nodes per cell (needed by conflict reporting and
+    /// ejection; a node whose table wraps onto itself is listed once and
+    /// counted once per use in `counts`).
     occupants: Vec<Vec<NodeId>>,
     /// Total reserved slots per resource kind, maintained incrementally on
     /// `place`/`eject` — the cluster-selection heuristic reads this on every
     /// candidate cluster.
     occupancy_by_kind: Vec<u32>,
-    placements: HashMap<NodeId, PlacementInfo>,
+    /// Placement of every scheduled node, by node index.
+    placements: IdMap<NodeId, PlacementInfo>,
+    /// Number of scheduled nodes.
+    placed: usize,
     next_order: u64,
 }
 
@@ -74,7 +130,8 @@ impl PartialSchedule {
             counts: vec![0; cells],
             occupants: vec![Vec::new(); cells],
             occupancy_by_kind: vec![0; indexer.len()],
-            placements: HashMap::default(),
+            placements: IdMap::new(),
+            placed: 0,
             next_order: 0,
         }
     }
@@ -104,6 +161,7 @@ impl PartialSchedule {
         self.occupancy_by_kind.clear();
         self.occupancy_by_kind.resize(self.indexer.len(), 0);
         self.placements.clear();
+        self.placed = 0;
         self.next_order = 0;
     }
 
@@ -116,100 +174,56 @@ impl PartialSchedule {
     /// Number of scheduled nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.placements.len()
+        self.placed
     }
 
     /// Whether no node is scheduled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.placements.is_empty()
+        self.placed == 0
     }
 
     /// Whether `node` is currently scheduled.
     #[must_use]
     pub fn is_scheduled(&self, node: NodeId) -> bool {
-        self.placements.contains_key(&node)
+        self.placements.contains_key(node)
     }
 
     /// Issue cycle of `node`, if scheduled.
     #[must_use]
     pub fn cycle_of(&self, node: NodeId) -> Option<i64> {
-        self.placements.get(&node).map(|p| p.cycle)
+        self.placements.get(node).map(|p| p.cycle)
     }
 
     /// Cluster of `node`, if scheduled.
     #[must_use]
     pub fn cluster_of(&self, node: NodeId) -> Option<ClusterId> {
-        self.placements.get(&node).map(|p| p.cluster)
+        self.placements.get(node).map(|p| p.cluster)
     }
 
-    /// Iterator over scheduled nodes with their cycle and cluster.
+    /// Iterator over scheduled nodes with their cycle and cluster, in
+    /// node-id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, i64, ClusterId)> + '_ {
-        self.placements
-            .iter()
-            .map(|(&n, p)| (n, p.cycle, p.cluster))
+        self.placements.iter().map(|(n, p)| (n, p.cycle, p.cluster))
     }
 
     /// Earliest issue cycle used by any scheduled node.
     #[must_use]
     pub fn min_cycle(&self) -> Option<i64> {
-        self.placements.values().map(|p| p.cycle).min()
+        self.iter().map(|(_, cycle, _)| cycle).min()
     }
 
     /// Latest issue cycle used by any scheduled node.
     #[must_use]
     pub fn max_cycle(&self) -> Option<i64> {
-        self.placements.values().map(|p| p.cycle).max()
-    }
-
-    /// Kernel cycle (MRT row) of `cycle + offset`.
-    fn slot(&self, cycle: i64, offset: u32) -> u32 {
-        (cycle + i64::from(offset)).rem_euclid(i64::from(self.ii)) as u32
-    }
-
-    /// Flat cell index of `(kind, cycle + offset)`.
-    fn cell(&self, kind: ResourceKind, cycle: i64, offset: u32) -> usize {
-        self.indexer.index_of(kind) * self.ii as usize + self.slot(cycle, offset) as usize
-    }
-
-    /// Visit every distinct cell `rt` would occupy at `cycle`, with the
-    /// joint number of uses landing in that cell (a table spanning II
-    /// cycles or more collides with itself in the MRT, so one cell can
-    /// receive several uses). Stops early — returning `false` — as soon as
-    /// `visit` does. The single home of the duplicate-cell counting that
-    /// `can_place`, `conflicts` and `intrinsically_infeasible` must agree
-    /// on; no scratch tables are allocated.
-    fn for_each_cell(
-        &self,
-        rt: &ReservationTable,
-        cycle: i64,
-        mut visit: impl FnMut(usize, usize, u32) -> bool,
-    ) -> bool {
-        let uses = rt.as_slice();
-        for (i, u) in uses.iter().enumerate() {
-            let cell = self.cell(u.kind, cycle, u.offset);
-            if uses[..i]
-                .iter()
-                .any(|p| self.cell(p.kind, cycle, p.offset) == cell)
-            {
-                continue; // this cell was already counted in full
-            }
-            let added = 1 + uses[i + 1..]
-                .iter()
-                .filter(|p| self.cell(p.kind, cycle, p.offset) == cell)
-                .count() as u32;
-            if !visit(cell, self.indexer.index_of(u.kind), added) {
-                return false;
-            }
-        }
-        true
+        self.iter().map(|(_, cycle, _)| cycle).max()
     }
 
     /// Whether `rt` fits at `cycle` without exceeding any resource capacity.
     #[must_use]
     pub fn can_place(&self, rt: &ReservationTable, cycle: i64) -> bool {
-        self.for_each_cell(rt, cycle, |cell, kind, added| {
-            self.counts[cell] + added <= self.caps[kind]
+        for_each_cell(self.indexer, self.ii, rt, cycle, |c| {
+            self.counts[c.index] + c.uses <= self.caps[c.kind]
         })
     }
 
@@ -224,16 +238,9 @@ impl PartialSchedule {
     /// ejecting innocent neighbours.
     #[must_use]
     pub fn intrinsically_infeasible(&self, rt: &ReservationTable) -> bool {
-        // Fast path: every constructible table (`for_op`: one kind at
-        // consecutive offsets; `for_move`: three distinct kinds) maps its
-        // uses to distinct cells when it spans no more than II cycles, so
-        // self-collision reduces to a zero-capacity resource.
-        if rt.len() as u32 <= self.ii {
-            return rt
-                .iter()
-                .any(|u| self.caps[self.indexer.index_of(u.kind)] == 0);
-        }
-        !self.for_each_cell(rt, 0, |_, kind, added| added <= self.caps[kind])
+        !for_each_cell(self.indexer, self.ii, rt, 0, |c| {
+            c.uses <= self.caps[c.kind]
+        })
     }
 
     /// Place `node` at `cycle` on `cluster` with reservation table `rt`,
@@ -245,12 +252,12 @@ impl PartialSchedule {
     /// Panics if the node is already scheduled.
     pub fn place(&mut self, node: NodeId, cycle: i64, cluster: ClusterId, rt: ReservationTable) {
         assert!(!self.is_scheduled(node), "node {node} is already scheduled");
-        for u in &rt {
-            let cell = self.cell(u.kind, cycle, u.offset);
-            self.counts[cell] += 1;
-            self.occupants[cell].push(node);
-            self.occupancy_by_kind[self.indexer.index_of(u.kind)] += 1;
-        }
+        for_each_cell(self.indexer, self.ii, &rt, cycle, |c| {
+            self.counts[c.index] += c.uses;
+            self.occupants[c.index].push(node);
+            self.occupancy_by_kind[c.kind] += c.uses;
+            true
+        });
         let order = self.next_order;
         self.next_order += 1;
         self.placements.insert(
@@ -262,6 +269,7 @@ impl PartialSchedule {
                 order,
             },
         );
+        self.placed += 1;
     }
 
     /// Place `node` only if it fits; returns whether it was placed.
@@ -289,29 +297,32 @@ impl PartialSchedule {
     pub fn eject(&mut self, node: NodeId) -> i64 {
         let info = self
             .placements
-            .remove(&node)
+            .remove(node)
             .unwrap_or_else(|| panic!("node {node} is not scheduled"));
-        for u in &info.rt {
-            let cell = self.cell(u.kind, info.cycle, u.offset);
-            let occ = &mut self.occupants[cell];
-            if let Some(pos) = occ.iter().position(|&n| n == node) {
-                occ.swap_remove(pos);
-                self.counts[cell] -= 1;
-                self.occupancy_by_kind[self.indexer.index_of(u.kind)] -= 1;
-            }
-        }
+        self.placed -= 1;
+        for_each_cell(self.indexer, self.ii, &info.rt, info.cycle, |c| {
+            let occ = &mut self.occupants[c.index];
+            let pos = occ
+                .iter()
+                .position(|&n| n == node)
+                .expect("a placed node occupies every cell of its table");
+            occ.swap_remove(pos);
+            self.counts[c.index] -= c.uses;
+            self.occupancy_by_kind[c.kind] -= c.uses;
+            true
+        });
         info.cycle
     }
 
     /// Nodes that conflict with placing `rt` at `cycle`: the occupants of
     /// every resource cell that would exceed its capacity, ordered by
-    /// placement time (first placed first).
-    #[must_use]
-    pub fn conflicts(&self, rt: &ReservationTable, cycle: i64) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = Vec::new();
-        self.for_each_cell(rt, cycle, |cell, kind, added| {
-            if self.counts[cell] + added > self.caps[kind] {
-                for &n in &self.occupants[cell] {
+    /// placement time (first placed first). `out` is cleared and refilled,
+    /// so a caller probing in a loop reuses one buffer.
+    pub fn conflicts(&self, rt: &ReservationTable, cycle: i64, out: &mut Vec<NodeId>) {
+        out.clear();
+        for_each_cell(self.indexer, self.ii, rt, cycle, |c| {
+            if self.counts[c.index] + c.uses > self.caps[c.kind] {
+                for &n in &self.occupants[c.index] {
                     if !out.contains(&n) {
                         out.push(n);
                     }
@@ -319,8 +330,7 @@ impl PartialSchedule {
             }
             true
         });
-        out.sort_by_key(|n| self.placements.get(n).map(|p| p.order).unwrap_or(u64::MAX));
-        out
+        out.sort_unstable_by_key(|&n| self.order_of(n).unwrap_or(u64::MAX));
     }
 
     /// Total occupancy (number of reserved slots) of a resource kind —
@@ -334,35 +344,41 @@ impl PartialSchedule {
     /// Placement order of a node (smaller = placed earlier), if scheduled.
     #[must_use]
     pub(crate) fn order_of(&self, node: NodeId) -> Option<u64> {
-        self.placements.get(&node).map(|p| p.order)
+        self.placements.get(node).map(|p| p.order)
     }
 
     /// Drain every placement, sorted by placement order (earliest first).
     ///
     /// This is the restart-salvage hand-off: the failed attempt's schedule
     /// gives up its placements so they can be re-folded into the next II's
-    /// residue space, in the deterministic order they were placed (hash-map
-    /// iteration order must never leak into scheduling decisions). The MRT
+    /// residue space, in the deterministic order they were placed. The MRT
     /// cells are left stale — the caller is expected to
     /// [`reset`](PartialSchedule::reset) this schedule for the new II before
     /// re-placing anything.
     pub(crate) fn take_placements_in_order(&mut self) -> Vec<(NodeId, PlacementInfo)> {
-        let mut out: Vec<(NodeId, PlacementInfo)> = self.placements.drain().collect();
+        let mut out: Vec<(NodeId, PlacementInfo)> =
+            self.placements.iter().map(|(n, &p)| (n, p)).collect();
+        self.placements.clear();
+        self.placed = 0;
         out.sort_unstable_by_key(|(_, p)| p.order);
         out
     }
 
     /// From-scratch recount of every incremental gauge, for tests: returns
-    /// `(counts, occupancy_by_kind)` recomputed from the placements alone.
+    /// `(counts, occupancy_by_kind)` recomputed use by use from the
+    /// placements alone, independently of the run arithmetic.
     #[doc(hidden)]
     #[must_use]
     pub fn recount(&self) -> (Vec<u32>, Vec<u32>) {
         let mut counts = vec![0u32; self.counts.len()];
         let mut by_kind = vec![0u32; self.occupancy_by_kind.len()];
-        for p in self.placements.values() {
-            for u in &p.rt {
-                counts[self.cell(u.kind, p.cycle, u.offset)] += 1;
-                by_kind[self.indexer.index_of(u.kind)] += 1;
+        let ii = i64::from(self.ii);
+        for (_, p) in self.placements.iter() {
+            for u in p.rt.iter() {
+                let kind = self.indexer.index_of(u.kind);
+                let slot = (p.cycle + i64::from(u.offset)).rem_euclid(ii) as usize;
+                counts[kind * self.ii as usize + slot] += 1;
+                by_kind[kind] += 1;
             }
         }
         (counts, by_kind)
@@ -439,7 +455,8 @@ mod tests {
         for i in 0..4u32 {
             s.place(NodeId(i), 0, ClusterId(0), rt(Opcode::FpAdd, 0));
         }
-        let c = s.conflicts(&rt(Opcode::FpAdd, 0), 0);
+        let mut c = Vec::new();
+        s.conflicts(&rt(Opcode::FpAdd, 0), 0, &mut c);
         assert_eq!(c.len(), 4);
         assert_eq!(c[0], NodeId(0), "first placed node reported first");
     }
@@ -462,8 +479,9 @@ mod tests {
             s.place(NodeId(i), 0, ClusterId(0), rt(Opcode::FpAdd, 0));
         }
         assert_eq!(s.len(), 5);
-        let c = s.conflicts(&rt(Opcode::FpAdd, 0), 0);
-        assert_eq!(c.len(), 5);
+        let mut c = vec![NodeId(99)];
+        s.conflicts(&rt(Opcode::FpAdd, 0), 0, &mut c);
+        assert_eq!(c.len(), 5, "the buffer is cleared before it is filled");
     }
 
     #[test]
@@ -472,12 +490,12 @@ mod tests {
         let lat = LatencyModel::default();
         let mv = ReservationTable::for_move(ClusterId(0), ClusterId(1), &lat);
         let mut s = PartialSchedule::new(&m, 1);
-        assert!(s.try_place(NodeId(0), 0, ClusterId(1), mv.clone()));
+        assert!(s.try_place(NodeId(0), 0, ClusterId(1), mv));
         // Second move in the same cycle: the out-port of cluster 0 is busy.
         assert!(!s.can_place(&mv, 0));
         let mv_rev = ReservationTable::for_move(ClusterId(1), ClusterId(0), &lat);
         // Opposite direction uses different ports and the second bus.
-        assert!(s.try_place(NodeId(1), 0, ClusterId(0), mv_rev.clone()));
+        assert!(s.try_place(NodeId(1), 0, ClusterId(0), mv_rev));
         // A third move in the same cycle fails: no bus left.
         let mv2 = ReservationTable::for_move(ClusterId(1), ClusterId(0), &lat);
         assert!(!s.can_place(&mv2, 0));

@@ -14,7 +14,7 @@ use crate::pressure::PressureTracker;
 use crate::priority::PriorityList;
 use crate::result::{Placement, ScheduleResult, SchedulerStats, SearchMeta};
 use crate::schedule::PartialSchedule;
-use crate::scratch::SchedScratch;
+use crate::scratch::{Ledger, SchedScratch};
 use crate::search::{BranchExecutor, InlineBranchExecutor, SearchDriver};
 use crate::spill::SpillMemo;
 use ddg::collections::HashMap;
@@ -100,18 +100,8 @@ pub(crate) struct SchedState<'m, 'g> {
     pub graph: &'g mut DepGraph,
     pub sched: PartialSchedule,
     pub plist: PriorityList,
-    /// Cycle at which each node was scheduled the last time (before a
-    /// possible ejection) — drives the forced cycle of the paper.
-    pub prev_cycle: HashMap<NodeId, i64>,
-    /// (source, destination) clusters of every live move node.
-    pub move_route: HashMap<NodeId, (ClusterId, ClusterId)>,
-    /// Live move node transporting a value into a cluster, by (value,
-    /// destination). Maintained by `create_move`/`remove_move` so move reuse
-    /// checks need no whole-graph scan; at most one move exists per key.
-    pub move_into: HashMap<(ddg::ValueId, ClusterId), NodeId>,
-    /// Spill store node per spilled value. Stores are never removed from the
-    /// graph, so this is a pure cache of `NodeOrigin::SpillStore` nodes.
-    pub spill_store_of: HashMap<ddg::ValueId, NodeId>,
+    /// Previous cycles, move routes and indices, spill stores, work lists.
+    pub ledger: Ledger,
     /// Memory operations in the graph at attempt start; the live count is
     /// `mem_ops_base + spills_inserted` (spill code is the only memory
     /// traffic the scheduler adds, and only moves are ever removed).
@@ -150,8 +140,8 @@ pub(crate) enum AttemptOutcome<'m, 'g> {
 /// Everything describing the partial schedule is kept: the placements (to
 /// be re-folded into the new II's residue space), the priority list (it
 /// still knows the anchored priorities of every spill and move node the
-/// failed attempt inserted), the previous-cycle and move/spill bookkeeping
-/// maps, and the inserted-spill count. The node and value ids inside refer
+/// failed attempt inserted), the ledger of previous cycles and move/spill
+/// bookkeeping, and the inserted-spill count. The node and value ids inside refer
 /// to the *post-failure* graph — the search driver clones that graph
 /// before rolling the transaction back and hands the clone to
 /// [`MirsScheduler::attempt_salvaged`] together with this state.
@@ -159,10 +149,7 @@ pub(crate) struct SalvageState {
     sched: PartialSchedule,
     pressure: PressureTracker,
     plist: PriorityList,
-    prev_cycle: HashMap<NodeId, i64>,
-    move_route: HashMap<NodeId, (ClusterId, ClusterId)>,
-    move_into: HashMap<(ddg::ValueId, ClusterId), NodeId>,
-    spill_store_of: HashMap<ddg::ValueId, NodeId>,
+    ledger: Ledger,
     spills_inserted: u32,
     /// Length of the HRMS order of the failed attempt — the warm probe
     /// resets its ejection budget to the same `budget_ratio × order` basis
@@ -175,15 +162,7 @@ impl SalvageState {
     /// opportunity expired: the search accepted a result or gave up before
     /// probing another II).
     pub(crate) fn discard(self, scratch: &mut SchedScratch) {
-        scratch.reclaim_buffers(
-            self.sched,
-            self.pressure,
-            self.plist,
-            self.prev_cycle,
-            self.move_route,
-            self.move_into,
-            self.spill_store_of,
-        );
+        scratch.reclaim_buffers(self.sched, self.pressure, self.plist, self.ledger);
     }
 }
 
@@ -384,10 +363,7 @@ impl<'m> MirsScheduler<'m> {
             opts: self.opts,
             sched: scratch.take_sched(self.machine, ii),
             plist: scratch.take_plist(order),
-            prev_cycle: scratch.take_prev_cycle(),
-            move_route: scratch.take_move_route(),
-            move_into: scratch.take_move_into(),
-            spill_store_of: scratch.take_spill_store_of(),
+            ledger: scratch.take_ledger(self.machine.clusters()),
             graph,
             mem_ops_base,
             budget,
@@ -457,10 +433,7 @@ impl<'m> MirsScheduler<'m> {
             mut sched,
             mut pressure,
             plist,
-            prev_cycle,
-            move_route,
-            move_into,
-            spill_store_of,
+            ledger,
             spills_inserted,
             order_len,
         } = state;
@@ -478,10 +451,7 @@ impl<'m> MirsScheduler<'m> {
             opts: self.opts,
             sched,
             plist,
-            prev_cycle,
-            move_route,
-            move_into,
-            spill_store_of,
+            ledger,
             graph,
             mem_ops_base,
             budget: i64::from(self.opts.budget_ratio) * order_len as i64,
@@ -572,10 +542,10 @@ impl SchedState<'_, '_> {
 
             // (C1) cluster selection; moves keep their fixed destination.
             let cluster = if self.graph.op(u).opcode.is_move() {
-                self.move_route
-                    .get(&u)
-                    .map(|&(_, d)| d)
-                    .unwrap_or(ClusterId::ZERO)
+                self.ledger
+                    .move_route
+                    .get(u)
+                    .map_or(ClusterId::ZERO, |&(_, d)| d)
             } else {
                 self.select_cluster(u)
             };
@@ -585,7 +555,12 @@ impl SchedState<'_, '_> {
             if !self.graph.op(u).opcode.is_move() {
                 let moves = self.ensure_moves(u, cluster);
                 for mv in moves {
-                    let dst = self.move_route[&mv].1;
+                    let dst = self
+                        .ledger
+                        .move_route
+                        .get(mv)
+                        .expect("moves have a route")
+                        .1;
                     if !self.schedule_node(mv, dst) {
                         non_iterative_failure = true;
                         break;
@@ -645,10 +620,7 @@ impl SchedState<'_, '_> {
             sched: self.sched,
             pressure: self.pressure,
             plist: self.plist,
-            prev_cycle: self.prev_cycle,
-            move_route: self.move_route,
-            move_into: self.move_into,
-            spill_store_of: self.spill_store_of,
+            ledger: self.ledger,
             spills_inserted: self.spills_inserted,
             order_len,
         }
@@ -661,7 +633,7 @@ impl SchedState<'_, '_> {
     /// the counterpart of `eject_node` for a node that is not currently in
     /// the partial schedule.
     fn evict_unplaced(&mut self, node: NodeId, prev_cycle: i64) {
-        self.prev_cycle.insert(node, prev_cycle);
+        self.ledger.prev_cycle.insert(node, prev_cycle);
         self.stats.ejections += 1;
         self.plist.push_back(node);
         self.detach_moves(node);
@@ -724,10 +696,7 @@ impl SchedState<'_, '_> {
             self.sched,
             self.pressure,
             self.plist,
-            self.prev_cycle,
-            self.move_route,
-            self.move_into,
-            self.spill_store_of,
+            self.ledger,
             self.memo,
         );
     }
@@ -737,8 +706,9 @@ impl SchedState<'_, '_> {
         let op = self.graph.op(node);
         if op.opcode.is_move() {
             let (src, dst) = self
+                .ledger
                 .move_route
-                .get(&node)
+                .get(node)
                 .copied()
                 .unwrap_or((cluster, cluster));
             debug_assert_eq!(dst, cluster);
@@ -761,7 +731,7 @@ impl SchedState<'_, '_> {
         if let Some(cycle) = self.find_free_slot(&rt, window) {
             self.sched.place(node, cycle, cluster, rt);
             self.pressure.touch_node(self.graph, node);
-            self.prev_cycle.insert(node, cycle);
+            self.ledger.prev_cycle.insert(node, cycle);
             return true;
         }
         if !self.opts.enable_backtracking {
@@ -787,7 +757,7 @@ impl SchedState<'_, '_> {
         window: Window,
     ) -> i64 {
         self.stats.forced += 1;
-        let prev = self.prev_cycle.get(&node).copied();
+        let prev = self.ledger.prev_cycle.get(node).copied();
         let forced_cycle = match window.direction {
             Direction::Forward => match prev {
                 Some(p) => window.early.max(p + 1),
@@ -801,26 +771,29 @@ impl SchedState<'_, '_> {
 
         // Eject operations causing resource conflicts: one at a time, always
         // the one placed earliest (or all of them under the ablation policy).
+        // The victim list is the ledger's reusable work list, taken out
+        // while the ejections below mutate the rest of the state.
+        let mut victims = std::mem::take(&mut self.ledger.victims);
         loop {
             if self.sched.can_place(&rt, forced_cycle) {
                 break;
             }
-            let conflicts = self.sched.conflicts(&rt, forced_cycle);
+            self.sched.conflicts(&rt, forced_cycle, &mut victims);
             // `schedule_node` rejects intrinsically infeasible tables before
             // forcing, so a full cell always has an occupant to evict.
             debug_assert!(
-                !conflicts.is_empty(),
+                !victims.is_empty(),
                 "no occupant to eject for a feasible reservation table"
             );
-            if conflicts.is_empty() {
+            if victims.is_empty() {
                 break;
             }
             match self.opts.ejection {
                 crate::options::EjectionPolicy::One => {
-                    self.eject_node(conflicts[0]);
+                    self.eject_node(victims[0]);
                 }
                 crate::options::EjectionPolicy::All => {
-                    for c in conflicts {
+                    for &c in &victims {
                         if self.sched.is_scheduled(c) {
                             self.eject_node(c);
                         }
@@ -830,13 +803,14 @@ impl SchedState<'_, '_> {
         }
         self.sched.place(node, forced_cycle, cluster, rt);
         self.pressure.touch_node(self.graph, node);
-        self.prev_cycle.insert(node, forced_cycle);
+        self.ledger.prev_cycle.insert(node, forced_cycle);
 
         // Eject previously scheduled predecessors and successors whose
         // dependence constraints are violated by the forced placement.
         let lat = self.machine.latencies();
         let ii = i64::from(self.sched.ii());
-        let mut violated: Vec<NodeId> = Vec::new();
+        let violated = &mut victims;
+        violated.clear();
         for &e in self.graph.in_edge_ids(node) {
             let edge = *self.graph.edge(e);
             if edge.from == node {
@@ -865,11 +839,12 @@ impl SchedState<'_, '_> {
                 }
             }
         }
-        for v in violated {
+        for &v in &victims {
             if self.sched.is_scheduled(v) {
                 self.eject_node(v);
             }
         }
+        self.ledger.victims = victims;
         forced_cycle
     }
 
@@ -882,7 +857,7 @@ impl SchedState<'_, '_> {
     pub(crate) fn eject_node(&mut self, node: NodeId) {
         let cycle = self.sched.eject(node);
         self.pressure.touch_node(self.graph, node);
-        self.prev_cycle.insert(node, cycle);
+        self.ledger.prev_cycle.insert(node, cycle);
         self.stats.ejections += 1;
         self.plist.push_back(node);
         self.detach_moves(node);
@@ -897,21 +872,26 @@ impl SchedState<'_, '_> {
             return;
         }
         // Collect moves to remove: predecessor moves for which `node` is the
-        // unique consumer, and successor moves (node is their producer).
+        // unique consumer, and successor moves (node is their producer), in
+        // edge order. The list stays empty — and unallocated — unless a move
+        // is attached.
         let mut to_remove: Vec<NodeId> = Vec::new();
-        for p in self.graph.predecessors(node) {
-            if self.graph.is_live(p) && self.graph.op(p).opcode.is_move() {
-                let sole_consumer = self
+        for &e in self.graph.in_edge_ids(node) {
+            let p = self.graph.edge(e).from;
+            if self.graph.is_live(p)
+                && self.graph.op(p).opcode.is_move()
+                && !to_remove.contains(&p)
+                && self
                     .graph
                     .op(p)
                     .dest
-                    .is_some_and(|v| self.graph.consumer_ids(v) == [node]);
-                if sole_consumer {
-                    to_remove.push(p);
-                }
+                    .is_some_and(|v| self.graph.consumer_ids(v) == [node])
+            {
+                to_remove.push(p);
             }
         }
-        for s in self.graph.successors(node) {
+        for &e in self.graph.out_edge_ids(node) {
+            let s = self.graph.edge(e).to;
             if self.graph.is_live(s) && self.graph.op(s).opcode.is_move() && !to_remove.contains(&s)
             {
                 to_remove.push(s);
@@ -953,10 +933,10 @@ impl SchedState<'_, '_> {
             self.sched.eject(mv);
         }
         self.plist.remove(mv);
-        let route = self.move_route.remove(&mv);
+        let route = self.ledger.move_route.remove(mv);
         if let (ddg::NodeOrigin::Move { value }, Some((_, dst))) = (self.graph.op(mv).origin, route)
         {
-            self.move_into.remove(&(value, dst));
+            self.ledger.set_move_into(value, dst, None);
         }
         self.stats.moves_removed += 1;
 
@@ -976,9 +956,12 @@ impl SchedState<'_, '_> {
         }
 
         // Reconnect outgoing edges to the predecessor and restore operands.
+        // The loop adds edges only out of `producer`, never out of `mv`, so
+        // the move's out-edge list is stable while it is walked by index.
         if let (Some(src_value), Some(dest_value)) = (src_value, dest_value) {
-            let out_edges = self.graph.out_edges(mv);
-            for e in out_edges {
+            let mut i = 0;
+            while let Some(&e) = self.graph.out_edge_ids(mv).get(i) {
+                i += 1;
                 let edge = *self.graph.edge(e);
                 if edge.to == mv {
                     continue;

@@ -3,27 +3,88 @@
 //! across loops.
 //!
 //! A scheduling attempt needs a partial schedule (MRT arrays sized by
-//! resources × II), per-cluster pressure gauges, a priority list and four
-//! bookkeeping hash maps. Allocating those per attempt was cheap next to
-//! the old per-attempt `DepGraph::clone`, but once the clone is replaced by
-//! transactional rollback they become the next allocation hot spot. The
-//! scratch holds them between attempts: `take_*` hands a buffer out (reset
-//! to empty, capacity preserved), `reclaim` puts it back when the attempt
-//! ends.
+//! resources × II), per-cluster pressure gauges, a priority list and the
+//! node- and value-indexed [`Ledger`]. The scratch holds them between
+//! attempts: `take_*` hands a buffer out (reset to empty, capacity
+//! preserved), `reclaim` puts it back when the attempt ends.
 //!
 //! Reuse is invisible to the schedule: every buffer is reset to exactly the
-//! state a freshly constructed one would have, and outcome-affecting
-//! iteration never depends on hash-map capacity (placement victims are
-//! selected by minimum placement order, hashes sort their keys). The golden
-//! `schedule_hash` tests pin this.
+//! state a freshly constructed one would have. That matters for the dense
+//! maps in particular: a rollback hands the next attempt the same node and
+//! value ids for different nodes, so nothing may survive a `take_*`. The
+//! golden `schedule_hash` tests pin this.
 
 use crate::pressure::PressureTracker;
 use crate::priority::PriorityList;
 use crate::schedule::PartialSchedule;
 use crate::spill::SpillMemo;
-use ddg::collections::HashMap;
+use ddg::collections::IdMap;
 use ddg::{NodeId, ValueId};
 use vliw::{ClusterId, MachineConfig};
+
+/// Node- and value-indexed bookkeeping of one scheduling attempt, plus the
+/// reusable work lists of its per-pick hot paths. Every map is a dense
+/// table indexed by id, so the scheduler's lookups are array reads.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    /// Cycle at which each node was scheduled the last time (before a
+    /// possible ejection) — drives the forced cycle of the paper.
+    pub prev_cycle: IdMap<NodeId, i64>,
+    /// (source, destination) clusters of every live move node.
+    pub move_route: IdMap<NodeId, (ClusterId, ClusterId)>,
+    /// Live move node transporting a value into a cluster, at
+    /// `value × clusters + destination`. Maintained by `create_move` /
+    /// `remove_move` so move reuse checks need no whole-graph scan; at most
+    /// one move exists per (value, destination).
+    move_into: Vec<Option<NodeId>>,
+    /// Cluster count of the machine `move_into` is laid out for.
+    clusters: usize,
+    /// Spill store node per spilled value. Stores are never removed from the
+    /// graph, so this is a pure cache of `NodeOrigin::SpillStore` nodes.
+    pub spill_store_of: IdMap<ValueId, NodeId>,
+    /// Work list of the Forcing-and-Ejection victims (resource conflicts,
+    /// then violated dependences).
+    pub victims: Vec<NodeId>,
+    /// Work list of the spill-section walk: `(consumer, use cycle,
+    /// iteration distance)` of one value's scheduled uses.
+    pub section_uses: Vec<(NodeId, i64, u32)>,
+}
+
+impl Ledger {
+    /// Forget every entry, keeping the storage, for a machine with
+    /// `clusters` clusters.
+    fn reset(&mut self, clusters: usize) {
+        self.prev_cycle.clear();
+        self.move_route.clear();
+        self.move_into.clear();
+        self.clusters = clusters;
+        self.spill_store_of.clear();
+        self.victims.clear();
+        self.section_uses.clear();
+    }
+
+    fn move_slot(&self, value: ValueId, dst: ClusterId) -> usize {
+        value.index() * self.clusters + dst.index()
+    }
+
+    /// The live move transporting `value` into `dst`, if any.
+    pub fn move_into(&self, value: ValueId, dst: ClusterId) -> Option<NodeId> {
+        self.move_into
+            .get(self.move_slot(value, dst))
+            .copied()
+            .flatten()
+    }
+
+    /// Record (or, with `None`, forget) the move transporting `value` into
+    /// `dst`.
+    pub fn set_move_into(&mut self, value: ValueId, dst: ClusterId, mv: Option<NodeId>) {
+        let slot = self.move_slot(value, dst);
+        if slot >= self.move_into.len() {
+            self.move_into.resize(slot + 1, None);
+        }
+        self.move_into[slot] = mv;
+    }
+}
 
 /// Reusable per-worker scheduling state.
 ///
@@ -37,10 +98,7 @@ pub struct SchedScratch {
     sched: Option<PartialSchedule>,
     pressure: Option<PressureTracker>,
     plist: PriorityList,
-    prev_cycle: HashMap<NodeId, i64>,
-    move_route: HashMap<NodeId, (ClusterId, ClusterId)>,
-    move_into: HashMap<(ValueId, ClusterId), NodeId>,
-    spill_store_of: HashMap<ValueId, NodeId>,
+    ledger: Ledger,
     /// Cross-restart spill memo. Unlike the other buffers it carries
     /// loop-scoped *state*, not just warmed capacity: entries persist
     /// across the II attempts of one loop (that is its whole point) and
@@ -91,32 +149,11 @@ impl SchedScratch {
         pl
     }
 
-    /// Cleared previous-cycle map.
-    pub(crate) fn take_prev_cycle(&mut self) -> HashMap<NodeId, i64> {
-        let mut m = std::mem::take(&mut self.prev_cycle);
-        m.clear();
-        m
-    }
-
-    /// Cleared move-route map.
-    pub(crate) fn take_move_route(&mut self) -> HashMap<NodeId, (ClusterId, ClusterId)> {
-        let mut m = std::mem::take(&mut self.move_route);
-        m.clear();
-        m
-    }
-
-    /// Cleared (value, destination) → move index.
-    pub(crate) fn take_move_into(&mut self) -> HashMap<(ValueId, ClusterId), NodeId> {
-        let mut m = std::mem::take(&mut self.move_into);
-        m.clear();
-        m
-    }
-
-    /// Cleared value → spill-store index.
-    pub(crate) fn take_spill_store_of(&mut self) -> HashMap<ValueId, NodeId> {
-        let mut m = std::mem::take(&mut self.spill_store_of);
-        m.clear();
-        m
+    /// Empty ledger for a `clusters`-cluster machine, reusing prior storage.
+    pub(crate) fn take_ledger(&mut self, clusters: usize) -> Ledger {
+        let mut ledger = std::mem::take(&mut self.ledger);
+        ledger.reset(clusters);
+        ledger
     }
 
     /// The spill memo, *not* cleared: it deliberately survives from one II
@@ -134,27 +171,15 @@ impl SchedScratch {
 
     /// Return every buffer of a finished attempt so the next one (or the
     /// next loop) reuses the allocations.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn reclaim(
         &mut self,
         sched: PartialSchedule,
         pressure: PressureTracker,
         plist: PriorityList,
-        prev_cycle: HashMap<NodeId, i64>,
-        move_route: HashMap<NodeId, (ClusterId, ClusterId)>,
-        move_into: HashMap<(ValueId, ClusterId), NodeId>,
-        spill_store_of: HashMap<ValueId, NodeId>,
+        ledger: Ledger,
         spill_memo: SpillMemo,
     ) {
-        self.reclaim_buffers(
-            sched,
-            pressure,
-            plist,
-            prev_cycle,
-            move_route,
-            move_into,
-            spill_store_of,
-        );
+        self.reclaim_buffers(sched, pressure, plist, ledger);
         self.spill_memo = spill_memo;
     }
 
@@ -162,24 +187,17 @@ impl SchedScratch {
     /// salvage path hands the memo back separately (it is the one buffer a
     /// captured failed attempt does *not* carry: the search driver resets
     /// it per attempt through [`SchedScratch::spill_memo_mut`]).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn reclaim_buffers(
         &mut self,
         sched: PartialSchedule,
         pressure: PressureTracker,
         plist: PriorityList,
-        prev_cycle: HashMap<NodeId, i64>,
-        move_route: HashMap<NodeId, (ClusterId, ClusterId)>,
-        move_into: HashMap<(ValueId, ClusterId), NodeId>,
-        spill_store_of: HashMap<ValueId, NodeId>,
+        ledger: Ledger,
     ) {
         self.sched = Some(sched);
         self.pressure = Some(pressure);
         self.plist = plist;
-        self.prev_cycle = prev_cycle;
-        self.move_route = move_route;
-        self.move_into = move_into;
-        self.spill_store_of = spill_store_of;
+        self.ledger = ledger;
     }
 
     /// Hand the spill memo back after a salvage capture released it.
@@ -206,24 +224,19 @@ mod tests {
             vliw::ClusterId(0),
             m2.reservation(vliw::Opcode::FpAdd, vliw::ClusterId(0)),
         );
-        let mut prev = scratch.take_prev_cycle();
-        prev.insert(ddg::NodeId(0), 3);
+        let mut ledger = scratch.take_ledger(2);
+        ledger.prev_cycle.insert(ddg::NodeId(0), 3);
+        ledger
+            .move_route
+            .insert(ddg::NodeId(1), (vliw::ClusterId(0), vliw::ClusterId(1)));
+        ledger.set_move_into(ddg::ValueId(2), vliw::ClusterId(1), Some(ddg::NodeId(1)));
+        ledger
+            .spill_store_of
+            .insert(ddg::ValueId(3), ddg::NodeId(4));
         let pressure = scratch.take_pressure(2, 7, 4);
         let plist = scratch.take_plist(&[ddg::NodeId(0)]);
-        let move_route = scratch.take_move_route();
-        let move_into = scratch.take_move_into();
-        let spill_store_of = scratch.take_spill_store_of();
         let spill_memo = scratch.take_spill_memo();
-        scratch.reclaim(
-            sched,
-            pressure,
-            plist,
-            prev,
-            move_route,
-            move_into,
-            spill_store_of,
-            spill_memo,
-        );
+        scratch.reclaim(sched, pressure, plist, ledger, spill_memo);
 
         // Re-take for a different machine/II: everything must look fresh.
         let sched = scratch.take_sched(&m1, 3);
@@ -233,7 +246,12 @@ mod tests {
         let (counts, by_kind) = sched.gauges();
         assert!(counts.iter().all(|&c| c == 0));
         assert!(by_kind.iter().all(|&c| c == 0));
-        assert!(scratch.take_prev_cycle().is_empty());
+        let ledger = scratch.take_ledger(1);
+        assert!(ledger.prev_cycle.is_empty());
+        assert!(ledger.move_route.is_empty());
+        assert!(ledger.spill_store_of.is_empty());
+        assert_eq!(ledger.move_into(ddg::ValueId(2), vliw::ClusterId(0)), None);
+        assert_eq!(ledger.move_into(ddg::ValueId(5), vliw::ClusterId(0)), None);
         let plist = scratch.take_plist(&[ddg::NodeId(5)]);
         assert_eq!(plist.len(), 1);
         assert_eq!(plist.rank_of(ddg::NodeId(0)), None, "old ranks forgotten");

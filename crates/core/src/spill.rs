@@ -409,8 +409,7 @@ impl SchedState<'_, '_> {
                 } else {
                     self.opts.min_span_gauge
                 };
-                let intervals = self.pressure.intervals_for(cluster.index());
-                match self.select_spill_candidate(cluster, critical, &intervals, min_span) {
+                match self.select_spill_candidate(cluster, critical, min_span) {
                     Some(cand) => {
                         inserted_nodes += self.insert_spill(&cand);
                     }
@@ -429,62 +428,64 @@ impl SchedState<'_, '_> {
 
     /// Select the use (lifetime section) crossing the critical cycle with
     /// the largest ratio between its span and the memory traffic its
-    /// spilling would create. Returns `None` when no section spans at least
-    /// the minimum span gauge.
+    /// spilling would create (the first maximum wins). Returns `None` when
+    /// no section spans at least the minimum span gauge.
     ///
     /// The structural inputs (invariant set, per-value use lists) come from
     /// the cross-restart [`SpillMemo`]; only the schedule-dependent parts
     /// (cycles, spans, the critical-cycle filter) are derived per call.
+    /// The common outcome — no candidate — allocates nothing: a section's
+    /// ratio is checked against the incumbent before its consumer list is
+    /// built, and the use cycles go to the ledger's reusable work list.
     fn select_spill_candidate(
         &mut self,
         cluster: ClusterId,
         critical_cycle: u32,
-        intervals: &[LifetimeInterval],
         min_span: i64,
     ) -> Option<SpillCandidate> {
         let ii = self.sched.ii();
         let lat = self.machine.latencies();
-        // Split borrows: the memo mutates (hit counters, fresh entries)
-        // while graph/schedule/indices are read-only, so the loop bodies
-        // below must stay on direct field accesses.
+        // Split borrows: the memo mutates (hit counters, fresh entries) and
+        // the use list is rewritten per value, while graph, schedule,
+        // pressure gauges and the spill-store index are read-only.
         let memo = &mut self.memo;
         let graph = &*self.graph;
         let sched = &self.sched;
-        let spill_store_of = &self.spill_store_of;
+        let spill_store_of = &self.ledger.spill_store_of;
+        let uses = &mut self.ledger.section_uses;
         let mut best: Option<SpillCandidate> = None;
-        let mut consider = |cand: SpillCandidate| match &best {
-            Some(b) if b.ratio >= cand.ratio => {}
-            _ => best = Some(cand),
-        };
 
         // Loop invariants used in this cluster: spilling reloads them from
         // memory in front of each consumer (they already live in memory), so
-        // the traffic is one load and the span is the whole loop.
+        // the traffic is one load and the span is the whole loop. Every
+        // invariant has the same ratio, II, so the first one used here is
+        // the only one that can win.
         if i64::from(ii) >= min_span {
             for &v in memo.invariant_values(graph) {
-                let consumers: Vec<NodeId> = graph
-                    .consumer_ids(v)
-                    .iter()
-                    .copied()
-                    .filter(|&c| sched.cluster_of(c) == Some(cluster))
-                    .collect();
-                if consumers.is_empty() {
+                let in_cluster = |&c: &NodeId| sched.cluster_of(c) == Some(cluster);
+                if !graph.consumer_ids(v).iter().any(in_cluster) {
                     continue;
                 }
-                consider(SpillCandidate {
+                best = Some(SpillCandidate {
                     value: v,
                     cluster,
-                    consumers,
+                    consumers: graph
+                        .consumer_ids(v)
+                        .iter()
+                        .copied()
+                        .filter(in_cluster)
+                        .collect(),
                     distance: 0,
                     invariant: true,
                     already_stored: true,
                     ratio: f64::from(ii),
                 });
+                break;
             }
         }
 
         // Loop-variant lifetimes crossing the critical cycle.
-        for interval in intervals {
+        for interval in self.pressure.intervals_for(cluster.index()) {
             if !interval.covers_kernel_cycle(critical_cycle, ii) {
                 continue;
             }
@@ -501,7 +502,7 @@ impl SchedState<'_, '_> {
                 .cycle_of(producer)
                 .expect("interval producer scheduled");
             let producer_latency = entry.producer_latency;
-            let already_stored = spill_store_of.contains_key(&v);
+            let already_stored = spill_store_of.contains_key(v);
             debug_assert_eq!(
                 already_stored,
                 graph.node_ids().any(|n| matches!(
@@ -509,8 +510,9 @@ impl SchedState<'_, '_> {
                     NodeOrigin::SpillStore { value } if value == v
                 ))
             );
+            let traffic = if already_stored { 1.0 } else { 2.0 };
             // Consider every scheduled consumer as the end of a use section.
-            let mut uses: Vec<(NodeId, i64, u32)> = Vec::with_capacity(entry.uses.len());
+            uses.clear();
             for &(to, distance) in &entry.uses {
                 if let Some(uc) = sched.cycle_of(to) {
                     uses.push((to, uc + i64::from(ii) * i64::from(distance), distance));
@@ -518,13 +520,12 @@ impl SchedState<'_, '_> {
             }
             uses.sort_by_key(|&(_, c, _)| c);
             let mut prev = def_cycle;
-            let mut first = true;
-            for (idx, &(_, use_cycle, _)) in uses.iter().enumerate() {
+            for idx in 0..uses.len() {
+                let use_cycle = uses[idx].1;
                 let span = use_cycle - prev;
-                let non_spillable = if first { producer_latency } else { 0 };
+                let non_spillable = if idx == 0 { producer_latency } else { 0 };
                 let section_start = prev;
                 prev = use_cycle;
-                first = false;
                 if span - non_spillable < min_span {
                     continue;
                 }
@@ -536,29 +537,28 @@ impl SchedState<'_, '_> {
                 if !section.covers_kernel_cycle(critical_cycle, ii) {
                     continue;
                 }
+                let ratio = span as f64 / traffic;
+                if best.as_ref().is_some_and(|b| b.ratio >= ratio) {
+                    continue; // cannot beat the incumbent
+                }
                 // Spill the value from this section onwards: every consumer
                 // whose use falls at or after the section reads the reload,
                 // so the register lifetime really ends at the section start.
-                let tail: Vec<NodeId> = uses[idx..].iter().map(|&(c, _, _)| c).collect();
-                let distance = uses[idx..].iter().map(|&(_, _, d)| d).min().unwrap_or(0);
-                let unscheduled: Vec<NodeId> = graph
-                    .consumer_ids(v)
-                    .iter()
-                    .copied()
-                    .filter(|c| !sched.is_scheduled(*c) && !tail.contains(c))
-                    .filter(|&c| !matches!(graph.op(c).origin, NodeOrigin::SpillStore { .. }))
-                    .collect();
-                let mut consumers = tail;
-                consumers.extend(unscheduled);
-                let traffic = 1.0 + if already_stored { 0.0 } else { 1.0 };
-                consider(SpillCandidate {
+                let tail = &uses[idx..];
+                let mut consumers: Vec<NodeId> = tail.iter().map(|&(c, _, _)| c).collect();
+                consumers.extend(graph.consumer_ids(v).iter().copied().filter(|&c| {
+                    !sched.is_scheduled(c)
+                        && !tail.iter().any(|&(t, _, _)| t == c)
+                        && !matches!(graph.op(c).origin, NodeOrigin::SpillStore { .. })
+                }));
+                best = Some(SpillCandidate {
                     value: v,
                     cluster,
                     consumers,
-                    distance,
+                    distance: tail.iter().map(|&(_, _, d)| d).min().unwrap_or(0),
                     invariant: false,
                     already_stored,
-                    ratio: span as f64 / traffic,
+                    ratio,
                 });
             }
         }
@@ -569,7 +569,7 @@ impl SchedState<'_, '_> {
     /// an O(1) read of the cache `insert_spill` maintains (spill stores are
     /// never removed from the graph).
     fn existing_spill_store(&self, value: ValueId) -> Option<NodeId> {
-        let found = self.spill_store_of.get(&value).copied();
+        let found = self.ledger.spill_store_of.get(value).copied();
         debug_assert_eq!(
             found,
             self.graph.node_ids().find(|&n| {
@@ -611,7 +611,7 @@ impl SchedState<'_, '_> {
             let st = self.graph.add_node(data);
             self.graph.add_flow(producer, st, cand.value, 0);
             self.plist.insert_with_anchor(st, producer);
-            self.spill_store_of.insert(cand.value, st);
+            self.ledger.spill_store_of.insert(cand.value, st);
             inserted += 1;
             Some(st)
         };
@@ -640,16 +640,7 @@ impl SchedState<'_, '_> {
 
         for &consumer in &cand.consumers {
             // Remove the direct flow edge(s) carrying the spilled value.
-            let mut to_remove = Vec::new();
-            for e in self.graph.in_edges(consumer) {
-                let edge = self.graph.edge(e);
-                if edge.value == Some(cand.value) {
-                    to_remove.push(e);
-                }
-            }
-            for e in to_remove {
-                self.graph.remove_edge(e);
-            }
+            self.remove_in_edges(consumer, |edge| edge.value == Some(cand.value));
             self.graph.replace_src(consumer, cand.value, reload_value);
             self.graph.add_flow(ld, consumer, reload_value, 0);
         }

@@ -18,7 +18,9 @@
 //! not a documented guarantee, so recorded numbers should be compared
 //! within one toolchain).
 
+use crate::ids::{NodeId, ValueId};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::marker::PhantomData;
 
 /// The rustc-hash ("FxHash") algorithm: a fast, non-cryptographic,
 /// fully specified hash. Not DoS-resistant — fine for compiler-style
@@ -95,10 +97,128 @@ pub type HashMap<K, V> = std::collections::HashMap<K, V, DetState>;
 /// `HashSet::default()`.
 pub type HashSet<T> = std::collections::HashSet<T, DetState>;
 
+/// An id allocated densely from zero, usable as an [`IdMap`] key.
+pub trait DenseId: Copy {
+    /// Position of the id in a dense table.
+    fn index(self) -> usize;
+    /// The id at position `index`.
+    fn from_index(index: usize) -> Self;
+}
+
+impl DenseId for NodeId {
+    fn index(self) -> usize {
+        NodeId::index(self)
+    }
+    fn from_index(index: usize) -> Self {
+        NodeId(u32::try_from(index).expect("node index fits in u32"))
+    }
+}
+
+impl DenseId for ValueId {
+    fn index(self) -> usize {
+        ValueId::index(self)
+    }
+    fn from_index(index: usize) -> Self {
+        ValueId(u32::try_from(index).expect("value index fits in u32"))
+    }
+}
+
+/// A map keyed by a dense id, stored as one slot per id: lookups are an
+/// array read and iteration runs in id order, so it needs no hashing and
+/// no iteration-order guarantee. [`IdMap::clear`] keeps the storage, so a
+/// map reused across scheduling attempts stops allocating once it has
+/// grown to the largest id it has seen.
+#[derive(Debug, Clone)]
+pub struct IdMap<K, V> {
+    slots: Vec<Option<V>>,
+    _key: PhantomData<K>,
+}
+
+impl<K, V> Default for IdMap<K, V> {
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            _key: PhantomData,
+        }
+    }
+}
+
+impl<K: DenseId, V> IdMap<K, V> {
+    /// Empty map.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Value stored for `key`, if any.
+    #[must_use]
+    pub fn get(&self, key: K) -> Option<&V> {
+        self.slots.get(key.index()).and_then(Option::as_ref)
+    }
+
+    /// Whether `key` has a value.
+    #[must_use]
+    pub fn contains_key(&self, key: K) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Store `value` for `key`, returning the value it replaces.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let i = key.index();
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        self.slots[i].replace(value)
+    }
+
+    /// Remove and return the value of `key`.
+    pub fn remove(&mut self, key: K) -> Option<V> {
+        self.slots.get_mut(key.index()).and_then(Option::take)
+    }
+
+    /// Remove every entry, keeping the storage.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+    }
+
+    /// Whether the map has no entry (O(capacity)).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.slots.iter().all(Option::is_none)
+    }
+
+    /// Entries in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.as_ref().map(|v| (K::from_index(i), v)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::hash::BuildHasher;
+
+    #[test]
+    fn id_map_stores_by_index_and_iterates_in_id_order() {
+        let mut m: IdMap<NodeId, i64> = IdMap::new();
+        assert!(m.is_empty());
+        assert_eq!(m.insert(NodeId(7), 70), None);
+        assert_eq!(m.insert(NodeId(2), 20), None);
+        assert_eq!(m.insert(NodeId(7), 71), Some(70));
+        assert_eq!(m.get(NodeId(7)), Some(&71));
+        assert_eq!(m.get(NodeId(3)), None);
+        assert_eq!(m.get(NodeId(99)), None);
+        let entries: Vec<(NodeId, i64)> = m.iter().map(|(k, &v)| (k, v)).collect();
+        assert_eq!(entries, [(NodeId(2), 20), (NodeId(7), 71)]);
+        assert_eq!(m.remove(NodeId(2)), Some(20));
+        assert!(!m.contains_key(NodeId(2)));
+        m.clear();
+        assert!(m.is_empty());
+        assert_eq!(m.get(NodeId(7)), None);
+    }
 
     const PINNED: [u64; 3] = [
         5_871_781_006_564_002_453,

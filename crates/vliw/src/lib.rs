@@ -54,6 +54,6 @@ pub use config::{MachineBuilder, MachineConfig};
 pub use error::ConfigError;
 pub use hw_model::{HwEstimate, HwModel};
 pub use op::{LatencyModel, MemLatency, OpClass, Opcode};
-pub use reservation::{ReservationTable, ResourceUse};
+pub use reservation::{ReservationTable, ResourceRun, ResourceUse};
 pub use resource::{ClusterId, ResourceIndexer, ResourceKind};
 pub use snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};

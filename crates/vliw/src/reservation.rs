@@ -7,6 +7,10 @@
 //! output port of the source cluster, a shared bus, and — `λm - 1` cycles
 //! later — the input port of the destination cluster. These complex tables
 //! are precisely what makes backtracking valuable in MIRS-C.
+//!
+//! Every table the machine model builds is at most three *runs* — one
+//! resource held for consecutive cycles — so a table is a small `Copy`
+//! value: the scheduler builds one per probe without touching the heap.
 
 use crate::op::{LatencyModel, Opcode};
 use crate::resource::{ClusterId, ResourceKind};
@@ -21,10 +25,46 @@ pub struct ResourceUse {
     pub kind: ResourceKind,
 }
 
-/// Resource usage pattern of a single operation instance.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// A run of a reservation table: `kind` is occupied during the `count`
+/// consecutive cycles `issue + offset .. issue + offset + count`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ResourceRun {
+    /// Cycle offset of the first occupied cycle, relative to the issue
+    /// cycle of the operation.
+    pub offset: u32,
+    /// Number of consecutive cycles the resource is held (at least 1).
+    pub count: u32,
+    /// The resource occupied.
+    pub kind: ResourceKind,
+}
+
+/// Most runs a table holds: the three resources of an inter-cluster move.
+const MAX_RUNS: usize = 3;
+
+/// Filler of the unused run slots (never read: `run_count` bounds every
+/// access).
+const NO_RUN: ResourceRun = ResourceRun {
+    offset: 0,
+    count: 0,
+    kind: ResourceKind::Bus,
+};
+
+/// Resource usage pattern of a single operation instance: up to three runs,
+/// no two of the same resource kind (so no two runs ever share a cell of a
+/// modulo reservation table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReservationTable {
-    uses: Vec<ResourceUse>,
+    runs: [ResourceRun; MAX_RUNS],
+    run_count: u8,
+}
+
+impl Default for ReservationTable {
+    fn default() -> Self {
+        Self {
+            runs: [NO_RUN; MAX_RUNS],
+            run_count: 0,
+        }
+    }
 }
 
 impl ReservationTable {
@@ -34,7 +74,15 @@ impl ReservationTable {
         Self::default()
     }
 
-    /// Build the reservation table for `op` executed on `cluster`.
+    fn push(&mut self, run: ResourceRun) {
+        if run.count > 0 {
+            self.runs[usize::from(self.run_count)] = run;
+            self.run_count += 1;
+        }
+    }
+
+    /// Build the reservation table for `op` executed on `cluster`: one run
+    /// holding the operation's unit for its occupancy.
     ///
     /// For [`Opcode::Move`] the destination cluster must be provided via
     /// [`ReservationTable::for_move`]; this function panics if called with a
@@ -49,16 +97,18 @@ impl ReservationTable {
             !op.is_move(),
             "use ReservationTable::for_move for inter-cluster moves"
         );
-        let mut uses = Vec::new();
         let kind = match op.class() {
             crate::op::OpClass::Gp => ResourceKind::GpUnit { cluster },
             crate::op::OpClass::Mem => ResourceKind::MemPort { cluster },
             crate::op::OpClass::Move => unreachable!(),
         };
-        for offset in 0..lat.occupancy(op) {
-            uses.push(ResourceUse { offset, kind });
-        }
-        Self { uses }
+        let mut rt = Self::new();
+        rt.push(ResourceRun {
+            offset: 0,
+            count: lat.occupancy(op),
+            kind,
+        });
+        rt
     }
 
     /// Build the coupled send/receive reservation table of an inter-cluster
@@ -70,61 +120,58 @@ impl ReservationTable {
     #[must_use]
     pub fn for_move(src: ClusterId, dst: ClusterId, lat: &LatencyModel) -> Self {
         let recv_offset = lat.move_latency.saturating_sub(1);
-        let uses = vec![
-            ResourceUse {
-                offset: 0,
-                kind: ResourceKind::OutPort { cluster: src },
-            },
-            ResourceUse {
-                offset: 0,
-                kind: ResourceKind::Bus,
-            },
-            ResourceUse {
-                offset: recv_offset,
-                kind: ResourceKind::InPort { cluster: dst },
-            },
-        ];
-        Self { uses }
+        let mut rt = Self::new();
+        for (offset, kind) in [
+            (0, ResourceKind::OutPort { cluster: src }),
+            (0, ResourceKind::Bus),
+            (recv_offset, ResourceKind::InPort { cluster: dst }),
+        ] {
+            rt.push(ResourceRun {
+                offset,
+                count: 1,
+                kind,
+            });
+        }
+        rt
     }
 
-    /// Iterate over the individual resource requirements.
-    pub fn iter(&self) -> impl Iterator<Item = &ResourceUse> {
-        self.uses.iter()
-    }
-
-    /// The resource requirements as a slice (random access lets the flat
-    /// modulo reservation table count duplicate slot uses without
-    /// allocating).
+    /// The runs of the table, each of a distinct resource kind.
     #[must_use]
-    pub fn as_slice(&self) -> &[ResourceUse] {
-        &self.uses
+    pub fn runs(&self) -> &[ResourceRun] {
+        &self.runs[..usize::from(self.run_count)]
+    }
+
+    /// Iterate over the individual resource requirements, one per occupied
+    /// (resource, cycle) pair.
+    pub fn iter(&self) -> impl Iterator<Item = ResourceUse> + '_ {
+        self.runs().iter().flat_map(|r| {
+            (r.offset..r.offset + r.count).map(move |offset| ResourceUse {
+                offset,
+                kind: r.kind,
+            })
+        })
     }
 
     /// Number of resource requirements.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.uses.len()
+        self.runs().iter().map(|r| r.count as usize).sum()
     }
 
     /// Whether the table requires no resources.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.uses.is_empty()
+        self.run_count == 0
     }
 
     /// Largest cycle offset used by the table (0 for an empty table).
     #[must_use]
     pub fn span(&self) -> u32 {
-        self.uses.iter().map(|u| u.offset).max().unwrap_or(0)
-    }
-}
-
-impl<'a> IntoIterator for &'a ReservationTable {
-    type Item = &'a ResourceUse;
-    type IntoIter = std::slice::Iter<'a, ResourceUse>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.uses.iter()
+        self.runs()
+            .iter()
+            .map(|r| r.offset + r.count - 1)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -150,12 +197,15 @@ mod tests {
     fn divide_blocks_its_unit_for_its_latency() {
         let lat = LatencyModel::default();
         let rt = ReservationTable::for_op(Opcode::FpDiv, ClusterId(1), &lat);
+        assert_eq!(rt.runs().len(), 1, "one run, not one entry per cycle");
         assert_eq!(rt.len(), lat.fp_div as usize);
         assert_eq!(rt.span(), lat.fp_div - 1);
         assert!(rt.iter().all(|u| u.kind
             == ResourceKind::GpUnit {
                 cluster: ClusterId(1)
             }));
+        let offsets: Vec<u32> = rt.iter().map(|u| u.offset).collect();
+        assert_eq!(offsets, (0..lat.fp_div).collect::<Vec<_>>());
     }
 
     #[test]
@@ -183,6 +233,7 @@ mod tests {
         let lat = LatencyModel::with_move_latency(1);
         let rt = ReservationTable::for_move(ClusterId(0), ClusterId(1), &lat);
         assert_eq!(rt.len(), 3);
+        assert_eq!(rt.runs().len(), 3);
         assert!(rt.iter().all(|u| u.offset == 0));
         assert!(rt.iter().any(|u| u.kind == ResourceKind::Bus));
     }
@@ -206,6 +257,16 @@ mod tests {
     }
 
     #[test]
+    fn move_runs_have_distinct_kinds() {
+        let lat = LatencyModel::default();
+        let rt = ReservationTable::for_move(ClusterId(2), ClusterId(2), &lat);
+        let runs = rt.runs();
+        for (i, a) in runs.iter().enumerate() {
+            assert!(runs[i + 1..].iter().all(|b| b.kind != a.kind));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "for_move")]
     fn for_op_rejects_moves() {
         let lat = LatencyModel::default();
@@ -216,6 +277,8 @@ mod tests {
     fn empty_table_has_zero_span() {
         let rt = ReservationTable::new();
         assert!(rt.is_empty());
+        assert_eq!(rt.len(), 0);
         assert_eq!(rt.span(), 0);
+        assert_eq!(rt, ReservationTable::default());
     }
 }

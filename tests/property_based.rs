@@ -7,6 +7,7 @@ use ddg::{NodeId, ValueId};
 use loopgen::{synthetic, SyntheticParams};
 use mirs::{MirsScheduler, PartialSchedule, SchedulerOptions};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use vliw::{ClusterConfig, ClusterId, LatencyModel, MachineConfig, Opcode, ReservationTable};
 
 proptest! {
@@ -85,69 +86,110 @@ proptest! {
     }
 
     /// Random place/try_place/eject churn on the flat modulo reservation
-    /// table: the incrementally maintained cell counts and per-kind
-    /// occupancy gauges must always equal a from-scratch recount over the
-    /// placements, and `can_place`/`conflicts` must agree with each other.
-    /// This is the oracle guarding the incremental tentpole structures.
+    /// table, checked against a brute-force oracle that recounts every
+    /// cell use by use from a mirror of the placements:
+    ///
+    /// * `can_place`, `intrinsically_infeasible` and `conflicts` (same set,
+    ///   same first-placed-first order) agree with the oracle before every
+    ///   placement;
+    /// * the incrementally maintained cell counts and per-kind occupancy
+    ///   gauges always equal a from-scratch recount.
+    ///
+    /// The tables include self-overlapping ones (`FpDiv`, 17 cycles, and
+    /// `FpSqrt`, 30 cycles, at II 1..8), negative issue cycles and moves
+    /// whose receive half lands `λm − 1 > 0` cycles after the send.
     #[test]
     fn place_eject_round_trip_matches_recount(
         ops in proptest::collection::vec(
-            (0u32..24, -12i64..24, 0u16..2, 0usize..5, 0u32..2),
+            (0u32..24, -12i64..24, 0u16..2, 0usize..6, 0u32..2, 1u32..4),
             1..80,
         ),
         ii in 1u32..8,
     ) {
         let machine = MachineConfig::paper_config(2, 32).unwrap();
+        let ix = machine.resource_indexer();
+        let caps = machine.capacity_vector();
         let lat = LatencyModel::default();
-        let table = |idx: usize, cluster: u16| -> ReservationTable {
-            match idx {
-                0 => ReservationTable::for_op(Opcode::FpAdd, ClusterId(cluster), &lat),
-                1 => ReservationTable::for_op(Opcode::Load, ClusterId(cluster), &lat),
-                2 => ReservationTable::for_op(Opcode::FpDiv, ClusterId(cluster), &lat),
-                3 => ReservationTable::for_op(Opcode::FpMul, ClusterId(cluster), &lat),
-                _ => ReservationTable::for_move(
-                    ClusterId(cluster),
-                    ClusterId(1 - cluster),
-                    &lat,
-                ),
-            }
+        let table = |idx: usize, cluster: u16, move_latency: u32| -> ReservationTable {
+            let op = match idx {
+                0 => Opcode::FpAdd,
+                1 => Opcode::Load,
+                2 => Opcode::FpDiv,
+                3 => Opcode::FpMul,
+                4 => Opcode::FpSqrt,
+                _ => {
+                    return ReservationTable::for_move(
+                        ClusterId(cluster),
+                        ClusterId(1 - cluster),
+                        &LatencyModel::with_move_latency(move_latency),
+                    )
+                }
+            };
+            ReservationTable::for_op(op, ClusterId(cluster), &lat)
         };
+        // Per-cell use counts of one table issued at `cycle`, use by use.
+        let cells = |rt: &ReservationTable, cycle: i64| -> BTreeMap<usize, u32> {
+            let mut out = BTreeMap::new();
+            for u in rt.iter() {
+                let slot = (cycle + i64::from(u.offset)).rem_euclid(i64::from(ii)) as usize;
+                *out.entry(ix.index_of(u.kind) * ii as usize + slot).or_insert(0) += 1;
+            }
+            out
+        };
+        let cap_of = |cell: usize| caps[cell / ii as usize];
         let mut sched = PartialSchedule::new(&machine, ii);
-        for (node, cycle, cluster, kind, force) in ops {
+        // Mirror of the placements, in placement order.
+        let mut placed: Vec<(NodeId, i64, ReservationTable)> = Vec::new();
+        let mut conflicts = Vec::new();
+        for (node, cycle, cluster, kind, force, move_latency) in ops {
             let node = NodeId(node);
-            let rt = table(kind, cluster);
+            let rt = table(kind, cluster, move_latency);
             if sched.is_scheduled(node) {
                 let back = sched.eject(node);
+                let at = placed.iter().position(|p| p.0 == node).unwrap();
+                prop_assert_eq!(back, placed.remove(at).1);
                 prop_assert!(!sched.is_scheduled(node));
-                let _ = back;
-            } else if force == 1 {
-                // Forced placements may oversubscribe, like the
-                // Forcing-and-Ejection heuristic does.
-                sched.place(node, cycle, ClusterId(cluster), rt);
             } else {
+                let (counts, _) = sched.recount();
+                let wanted = cells(&rt, cycle);
+                let full: Vec<usize> = wanted
+                    .iter()
+                    .filter(|&(&cell, &uses)| counts[cell] + uses > cap_of(cell))
+                    .map(|(&cell, _)| cell)
+                    .collect();
+                let oracle_conflicts: Vec<NodeId> = placed
+                    .iter()
+                    .filter(|(_, c, prt)| cells(prt, *c).keys().any(|k| full.contains(k)))
+                    .map(|p| p.0)
+                    .collect();
+                let infeasible = cells(&rt, 0)
+                    .iter()
+                    .any(|(&cell, &uses)| uses > cap_of(cell));
                 let fits = sched.can_place(&rt, cycle);
-                let conflicts = sched.conflicts(&rt, cycle);
-                if fits {
-                    prop_assert!(conflicts.is_empty());
-                } else if !sched.intrinsically_infeasible(&rt) {
-                    prop_assert!(
-                        !conflicts.is_empty(),
-                        "a full cell of a feasible table has an occupant"
-                    );
+                prop_assert_eq!(fits, full.is_empty());
+                prop_assert_eq!(sched.intrinsically_infeasible(&rt), infeasible);
+                sched.conflicts(&rt, cycle, &mut conflicts);
+                prop_assert_eq!(&conflicts, &oracle_conflicts);
+                if force == 1 {
+                    // Forced placements may oversubscribe, like the
+                    // Forcing-and-Ejection heuristic does.
+                    sched.place(node, cycle, ClusterId(cluster), rt);
+                    placed.push((node, cycle, rt));
+                } else {
+                    prop_assert_eq!(sched.try_place(node, cycle, ClusterId(cluster), rt), fits);
+                    if fits {
+                        placed.push((node, cycle, rt));
+                    }
                 }
-                for &c in &conflicts {
-                    prop_assert!(sched.is_scheduled(c));
-                }
-                prop_assert_eq!(sched.try_place(node, cycle, ClusterId(cluster), rt), fits);
             }
             let (counts, by_kind) = sched.gauges();
             let (recount, re_kind) = sched.recount();
             prop_assert_eq!(&counts, &recount, "cell counts drifted from the placements");
             prop_assert_eq!(&by_kind, &re_kind, "occupancy gauges drifted");
-            let ix = machine.resource_indexer();
             for kind in ix.kinds() {
                 prop_assert_eq!(sched.occupancy(kind), by_kind[ix.index_of(kind)]);
             }
+            prop_assert_eq!(sched.len(), placed.len());
         }
     }
 
