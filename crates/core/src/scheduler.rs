@@ -141,8 +141,8 @@ pub(crate) enum AttemptOutcome<'m, 'g> {
 /// be re-folded into the new II's residue space), the priority list (it
 /// still knows the anchored priorities of every spill and move node the
 /// failed attempt inserted), the ledger of previous cycles and move/spill
-/// bookkeeping, and the inserted-spill count. The node and value ids inside refer
-/// to the *post-failure* graph — the search driver clones that graph
+/// bookkeeping, and the inserted-spill count. The node and value ids inside
+/// refer to the *post-failure* graph — the search driver clones that graph
 /// before rolling the transaction back and hands the clone to
 /// [`MirsScheduler::attempt_salvaged`] together with this state.
 pub(crate) struct SalvageState {
