@@ -32,7 +32,7 @@ pub enum PrefetchPolicy {
 }
 
 /// Environment variable selecting the II-search strategy for the harness
-/// entry points (`linear`, `backtrack` or `perturb`); explicit
+/// entry points (`linear`, `backtrack` or `exact`); explicit
 /// [`SchedulerOptions`] always win over the environment.
 pub const STRATEGY_ENV: &str = "MIRS_STRATEGY";
 
@@ -52,18 +52,6 @@ pub const BRANCH_JOBS_ENV: &str = "MIRS_BRANCH_JOBS";
 /// to budget-exhausted); unset or unparsable values keep
 /// [`SearchConfig::DEFAULT_EXACT_BUDGET`].
 pub const EXACT_BUDGET_ENV: &str = "MIRS_EXACT_BUDGET";
-
-/// Environment variable enabling restart salvage ([`SearchConfig::salvage`])
-/// for the harness entry points: any value but `0` turns it on. Default off
-/// — the cold climb stays byte-identical to the golden schedule hashes.
-pub const SALVAGE_ENV: &str = "MIRS_SALVAGE";
-
-/// Environment variable enabling the salvage audit: when restart salvage is
-/// active, every scheduled loop is re-run with salvage disabled and the
-/// salvaged search must converge at an II no worse than the cold climb
-/// (both results must also validate). Any value but `0` turns it on; it is
-/// a no-op unless salvage itself is enabled.
-pub const SALVAGE_AUDIT_ENV: &str = "MIRS_SALVAGE_AUDIT";
 
 /// Environment variable controlling the relaxation admission filter
 /// ([`SearchConfig::prune`]) for the harness entry points: `0` turns it
@@ -91,9 +79,6 @@ pub enum SearchStrategyKind {
     /// moves) metric. Never worse than [`SearchStrategyKind::Linear`] on
     /// that metric, at the cost of extra attempts.
     Backtracking,
-    /// Re-enter a *failed* II up to `retries` times with deterministically
-    /// perturbed priority orders before climbing; accept the first success.
-    PerturbedRestart,
     /// Certify a lower bound on the II by branch-and-bound over a residue
     /// relaxation of the loop (dependence windows + aggregate MRT slot
     /// capacities), then climb from that bound with the backtracking
@@ -109,9 +94,8 @@ impl SearchStrategyKind {
     /// [`SearchStrategyKind::tier`] is an exhaustive match, so adding a
     /// variant without ranking it here is a compile error, not a silent
     /// tier-0 entry.
-    pub const ALL: [SearchStrategyKind; 4] = [
+    pub const ALL: [SearchStrategyKind; 3] = [
         SearchStrategyKind::Linear,
-        SearchStrategyKind::PerturbedRestart,
         SearchStrategyKind::Backtracking,
         SearchStrategyKind::Exact,
     ];
@@ -122,7 +106,6 @@ impl SearchStrategyKind {
         match self {
             SearchStrategyKind::Linear => "linear",
             SearchStrategyKind::Backtracking => "backtrack",
-            SearchStrategyKind::PerturbedRestart => "perturb",
             SearchStrategyKind::Exact => "exact",
         }
     }
@@ -139,9 +122,8 @@ impl SearchStrategyKind {
     pub fn tier(self) -> u8 {
         match self {
             SearchStrategyKind::Linear => 0,
-            SearchStrategyKind::PerturbedRestart => 1,
-            SearchStrategyKind::Backtracking => 2,
-            SearchStrategyKind::Exact => 3,
+            SearchStrategyKind::Backtracking => 1,
+            SearchStrategyKind::Exact => 2,
         }
     }
 
@@ -152,9 +134,6 @@ impl SearchStrategyKind {
         match name.trim().to_ascii_lowercase().as_str() {
             "linear" => Some(SearchStrategyKind::Linear),
             "backtrack" | "backtracking" => Some(SearchStrategyKind::Backtracking),
-            "perturb" | "perturbed" | "perturbed-restart" => {
-                Some(SearchStrategyKind::PerturbedRestart)
-            }
             "exact" | "bnb" | "branch-and-bound" => Some(SearchStrategyKind::Exact),
             _ => None,
         }
@@ -183,9 +162,6 @@ pub struct SearchConfig {
     /// candidates can never win, so larger windows are purely exploratory
     /// (diagnostics, future metrics) and cost full extra attempts.
     pub ii_window: u32,
-    /// Maximum perturbed re-entries of one failed II
-    /// ([`SearchStrategyKind::PerturbedRestart`]).
-    pub retries: u32,
     /// Base seed of the deterministic priority perturbations. Attempt seeds
     /// are derived from `(seed, ii, branch index)`, so every run of the
     /// same loop explores the identical tree.
@@ -205,18 +181,6 @@ pub struct SearchConfig {
     /// change which schedule is produced — only how much of the lower bound
     /// is certified — so it is excluded from the cache key.
     pub exact_budget: u64,
-    /// Warm-start failed II restarts instead of rescheduling from scratch:
-    /// when the canonical attempt at an II fails, its surviving placements
-    /// are remapped into the next II's residue space (same absolute cycles,
-    /// so every dependence among kept pairs still holds — raising the II
-    /// only widens cross-iteration windows), only the ops whose MRT slots
-    /// fold into a conflict at the new II are evicted, and the placement
-    /// loop re-enters over that conflict tail in priority order. Should the
-    /// warm probe fail, the driver falls back to the ordinary cold attempt
-    /// at the same II, so the accepted II is never worse than the cold
-    /// climb's. Default off: the cold search stays byte-identical to the
-    /// golden schedule hashes.
-    pub salvage: bool,
     /// Admission-filter the II climb: before each cold attempt, a bounded
     /// relaxation pass ([`crate::search`] module docs) either *proves* the
     /// candidate II infeasible — the attempt is skipped outright and
@@ -234,11 +198,9 @@ impl Default for SearchConfig {
             strategy: SearchStrategyKind::Linear,
             branches: 2,
             ii_window: 1,
-            retries: 2,
             seed: 0x5eed_1e55_c0de_2026,
             branch_jobs: 1,
             exact_budget: Self::DEFAULT_EXACT_BUDGET,
-            salvage: false,
             prune: true,
         }
     }
@@ -271,12 +233,6 @@ impl SearchConfig {
         Self::for_strategy(SearchStrategyKind::Backtracking)
     }
 
-    /// Perturbed-restart search with default parameters.
-    #[must_use]
-    pub fn perturbed() -> Self {
-        Self::for_strategy(SearchStrategyKind::PerturbedRestart)
-    }
-
     /// Exact branch-and-bound certification with default parameters.
     #[must_use]
     pub fn exact() -> Self {
@@ -294,13 +250,6 @@ impl SearchConfig {
     #[must_use]
     pub fn with_ii_window(mut self, window: u32) -> Self {
         self.ii_window = window.max(1);
-        self
-    }
-
-    /// Builder-style setter for the perturbed-restart retry count.
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
         self
     }
 
@@ -326,13 +275,6 @@ impl SearchConfig {
         self
     }
 
-    /// Builder-style setter for restart salvage.
-    #[must_use]
-    pub fn with_salvage(mut self, salvage: bool) -> Self {
-        self.salvage = salvage;
-        self
-    }
-
     /// Builder-style setter for the relaxation admission filter.
     #[must_use]
     pub fn with_prune(mut self, prune: bool) -> Self {
@@ -341,7 +283,7 @@ impl SearchConfig {
     }
 
     /// Configuration selected by the `MIRS_STRATEGY`, `MIRS_BRANCH_JOBS`,
-    /// `MIRS_EXACT_BUDGET`, `MIRS_SALVAGE` and `MIRS_PRUNE` environment
+    /// `MIRS_EXACT_BUDGET` and `MIRS_PRUNE` environment
     /// variables (default parameters for the named strategy;
     /// [`SearchConfig::default`] when unset or unparsable).
     ///
@@ -352,7 +294,6 @@ impl SearchConfig {
         static KIND: std::sync::OnceLock<SearchStrategyKind> = std::sync::OnceLock::new();
         static BRANCH_JOBS: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
         static EXACT_BUDGET: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-        static SALVAGE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         let kind = *KIND.get_or_init(|| {
             std::env::var(STRATEGY_ENV)
                 .ok()
@@ -372,18 +313,12 @@ impl SearchConfig {
                 .and_then(|v| v.parse::<u64>().ok())
                 .unwrap_or(Self::DEFAULT_EXACT_BUDGET)
         });
-        let salvage = *SALVAGE.get_or_init(|| {
-            std::env::var(SALVAGE_ENV)
-                .map(|v| v != "0")
-                .unwrap_or(false)
-        });
         static PRUNE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         let prune =
             *PRUNE.get_or_init(|| std::env::var(PRUNE_ENV).map(|v| v != "0").unwrap_or(true));
         Self::for_strategy(kind)
             .with_branch_jobs(branch_jobs)
             .with_exact_budget(exact_budget)
-            .with_salvage(salvage)
             .with_prune(prune)
     }
 }
@@ -528,7 +463,6 @@ mod tests {
         assert!(o.enable_backtracking);
         assert_eq!(o.prefetch, PrefetchPolicy::HitLatency);
         assert_eq!(o.search.strategy, SearchStrategyKind::Linear);
-        assert!(!o.search.salvage, "salvage is opt-in");
         assert!(o.search.prune, "the admission filter is on by default");
         assert_eq!(SchedulerOptions::paper(), o);
     }
@@ -542,10 +476,6 @@ mod tests {
         assert_eq!(
             SearchStrategyKind::parse("Backtracking"),
             Some(SearchStrategyKind::Backtracking)
-        );
-        assert_eq!(
-            SearchStrategyKind::parse("perturbed"),
-            Some(SearchStrategyKind::PerturbedRestart)
         );
         assert_eq!(
             SearchStrategyKind::parse("branch-and-bound"),
@@ -564,7 +494,7 @@ mod tests {
             );
         }
         assert_eq!(SearchStrategyKind::Linear.tier(), 0);
-        assert_eq!(SearchStrategyKind::Exact.tier(), 3, "exact is the top tier");
+        assert_eq!(SearchStrategyKind::Exact.tier(), 2, "exact is the top tier");
     }
 
     #[test]
@@ -572,22 +502,17 @@ mod tests {
         let cfg = SearchConfig::backtracking()
             .with_branches(5)
             .with_ii_window(0)
-            .with_retries(7)
             .with_seed(42)
             .with_branch_jobs(0)
             .with_exact_budget(123)
-            .with_salvage(true)
             .with_prune(false);
         assert_eq!(cfg.strategy, SearchStrategyKind::Backtracking);
         assert_eq!(cfg.branches, 5);
         assert_eq!(cfg.ii_window, 1, "window clamps to at least 1");
-        assert_eq!(cfg.retries, 7);
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.branch_jobs, 1, "branch jobs clamp to at least 1");
         assert_eq!(cfg.exact_budget, 123);
-        assert!(cfg.salvage);
         assert!(!cfg.prune);
-        assert!(!SearchConfig::default().salvage);
         assert!(SearchConfig::default().prune);
         assert_eq!(
             SearchConfig::exact().strategy,
@@ -600,8 +525,8 @@ mod tests {
         );
         assert_eq!(cfg.with_branch_jobs(4).branch_jobs, 4);
         assert_eq!(SearchConfig::default().branch_jobs, 1);
-        let o = SchedulerOptions::default().with_strategy(SearchStrategyKind::PerturbedRestart);
-        assert_eq!(o.search, SearchConfig::perturbed());
+        let o = SchedulerOptions::default().with_strategy(SearchStrategyKind::Exact);
+        assert_eq!(o.search, SearchConfig::exact());
         let o = SchedulerOptions::default().with_search(cfg);
         assert_eq!(o.search.branches, 5);
     }

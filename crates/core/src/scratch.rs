@@ -179,30 +179,11 @@ impl SchedScratch {
         ledger: Ledger,
         spill_memo: SpillMemo,
     ) {
-        self.reclaim_buffers(sched, pressure, plist, ledger);
-        self.spill_memo = spill_memo;
-    }
-
-    /// [`SchedScratch::reclaim`] without the spill memo — the restart
-    /// salvage path hands the memo back separately (it is the one buffer a
-    /// captured failed attempt does *not* carry: the search driver resets
-    /// it per attempt through [`SchedScratch::spill_memo_mut`]).
-    pub(crate) fn reclaim_buffers(
-        &mut self,
-        sched: PartialSchedule,
-        pressure: PressureTracker,
-        plist: PriorityList,
-        ledger: Ledger,
-    ) {
         self.sched = Some(sched);
         self.pressure = Some(pressure);
         self.plist = plist;
         self.ledger = ledger;
-    }
-
-    /// Hand the spill memo back after a salvage capture released it.
-    pub(crate) fn reclaim_memo(&mut self, memo: SpillMemo) {
-        self.spill_memo = memo;
+        self.spill_memo = spill_memo;
     }
 }
 

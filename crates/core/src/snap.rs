@@ -28,7 +28,6 @@ impl SnapEncode for SearchStrategyKind {
         w.put_u8(match self {
             SearchStrategyKind::Linear => 0,
             SearchStrategyKind::Backtracking => 1,
-            SearchStrategyKind::PerturbedRestart => 2,
             SearchStrategyKind::Exact => 3,
         });
     }
@@ -39,7 +38,6 @@ impl SnapDecode for SearchStrategyKind {
         Ok(match r.get_u8()? {
             0 => SearchStrategyKind::Linear,
             1 => SearchStrategyKind::Backtracking,
-            2 => SearchStrategyKind::PerturbedRestart,
             3 => SearchStrategyKind::Exact,
             _ => return Err(SnapError::Malformed("unknown search-strategy tag")),
         })
@@ -80,11 +78,9 @@ impl SnapEncode for SearchConfig {
         self.strategy.encode_snap(w);
         w.put_u32(self.branches);
         w.put_u32(self.ii_window);
-        w.put_u32(self.retries);
         w.put_u64(self.seed);
         w.put_u32(self.branch_jobs);
         w.put_u64(self.exact_budget);
-        w.put_u8(u8::from(self.salvage));
         w.put_u8(u8::from(self.prune));
     }
 }
@@ -95,11 +91,9 @@ impl SnapDecode for SearchConfig {
             strategy: SnapDecode::decode_snap(r)?,
             branches: r.get_u32()?,
             ii_window: r.get_u32()?,
-            retries: r.get_u32()?,
             seed: r.get_u64()?,
             branch_jobs: r.get_u32()?,
             exact_budget: r.get_u64()?,
-            salvage: r.get_u8()? != 0,
             prune: r.get_u8()? != 0,
         })
     }
@@ -151,8 +145,6 @@ impl SnapEncode for SearchMeta {
         w.put_u32(self.groups);
         w.put_f64(self.branch_attempt_seconds);
         w.put_f64(self.branch_critical_seconds);
-        w.put_u32(self.salvaged_ops);
-        w.put_u32(self.replaced_ops);
         w.put_u32(self.pruned_iis);
         self.proof.encode_snap(w);
     }
@@ -167,8 +159,6 @@ impl SnapDecode for SearchMeta {
             groups: r.get_u32()?,
             branch_attempt_seconds: r.get_f64()?,
             branch_critical_seconds: r.get_f64()?,
-            salvaged_ops: r.get_u32()?,
-            replaced_ops: r.get_u32()?,
             pruned_iis: r.get_u32()?,
             proof: SnapDecode::decode_snap(r)?,
         })
@@ -350,11 +340,9 @@ mod tests {
     fn search_config_round_trip() {
         let cfg = SearchConfig::backtracking()
             .with_branches(5)
-            .with_retries(7)
             .with_seed(42)
             .with_branch_jobs(4)
             .with_exact_budget(9_001)
-            .with_salvage(true)
             .with_prune(false);
         let blob = vliw::snap::encode_blob(*b"TCFG", &cfg);
         let back: SearchConfig = vliw::snap::decode_blob(*b"TCFG", &blob).unwrap();
@@ -376,8 +364,6 @@ mod tests {
                 groups: 1,
                 branch_attempt_seconds: 0.0,
                 branch_critical_seconds: 0.0,
-                salvaged_ops: 12,
-                replaced_ops: 2,
                 pruned_iis: 4,
                 proof,
             };

@@ -12,17 +12,15 @@
 //! [`cache_key`] hashes the loop's structural fingerprint
 //! ([`ddg::snap::loop_fingerprint`]), the machine configuration name, the
 //! scheduler kind, the prefetch policy and the search parameters
-//! (`branches`, `ii_window`, `retries`, `seed`, `salvage` — warm-started
-//! restarts can legitimately converge at a different II than cold ones, so
-//! salvage-on and salvage-off address different entries). The search
-//! **strategy** and `branch_jobs` are deliberately *excluded*: branch-parallel execution
-//! is byte-identical to serial, and strategies form a quality ladder over
-//! the same problem, which enables the refinement rule below.
+//! (`branches`, `ii_window`, `seed`). The search **strategy** and
+//! `branch_jobs` are deliberately *excluded*: branch-parallel execution is
+//! byte-identical to serial, and strategies form a quality ladder over the
+//! same problem, which enables the refinement rule below.
 //!
 //! # Serve rule and refinement
 //!
 //! Strategies are tiered by search effort: `linear` (0) <
-//! `perturb` (1) < `backtrack` (2) < `exact` (3); the ladder lives in
+//! `backtrack` (1) < `exact` (2); the ladder lives in
 //! [`SearchStrategyKind::tier`] as an exhaustive match, so adding a
 //! strategy without ranking it is a compile error. A cached entry
 //! (tagged with the strategy that produced it) serves a request iff its
@@ -150,9 +148,7 @@ pub fn cache_key(
     }
     w.put_u32(search.branches);
     w.put_u32(search.ii_window);
-    w.put_u32(search.retries);
     w.put_u64(search.seed);
-    w.put_u8(u8::from(search.salvage));
     let bytes = w.into_bytes();
     let hi = fnv1a(&bytes);
     let mut salted = Vec::with_capacity(8 + bytes.len());
@@ -616,7 +612,15 @@ mod tests {
         std::fs::write(&path, b"not a cache entry").unwrap();
         assert!(cache.lookup(key, search.strategy).is_none());
 
-        assert_eq!(cache.stats().corrupt, 3);
+        // Entry written by the previous format version (intact otherwise).
+        cache.store(key, &r);
+        let mut blob = std::fs::read(&path).unwrap();
+        blob[4..6].copy_from_slice(&(vliw::snap::FORMAT_VERSION - 1).to_le_bytes());
+        std::fs::write(&path, &blob).unwrap();
+        assert!(cache.lookup(key, search.strategy).is_none());
+        assert!(!path.exists(), "old-format entry is deleted");
+
+        assert_eq!(cache.stats().corrupt, 4);
         // After the corruption storms, a fresh store works again.
         assert_eq!(cache.store(key, &r), StoreOutcome::Inserted);
         assert!(cache.lookup(key, search.strategy).is_some());
@@ -648,10 +652,6 @@ mod tests {
         assert_eq!(key, problem_key(&lp, &base.with_branch_jobs(8)));
         // Everything else is.
         assert_ne!(key, problem_key(&lp, &base.with_seed(99)));
-        assert_ne!(key, problem_key(&lp, &base.with_retries(9)));
-        // Salvage changes which II the search can converge at, so it must
-        // address a different entry.
-        assert_ne!(key, problem_key(&lp, &base.with_salvage(true)));
         let other_machine = MachineConfig::paper_config(4, 16).unwrap();
         assert_ne!(
             key,
