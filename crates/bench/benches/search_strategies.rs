@@ -1,10 +1,5 @@
 //! II-search strategy comparison on the restart-heavy 4x16 workbench
-//! slice: full serial MIRS-C passes under `linear` and `backtrack`,
-//! plus the branch-parallel `backtrack` path
-//! (`branch_jobs = 4`) that fans each candidate-II group across a
-//! `BranchPool` — the series that pins the tentpole claim that parallel
-//! `backtrack` approaches `linear` wall-clock on multicore while staying
-//! byte-identical to the serial search.
+//! slice: full serial MIRS-C passes under `linear` and `backtrack`.
 //!
 //! The per-strategy wall-clock means land in
 //! `target/criterion/search_strategies/summary.json`, which the
@@ -49,25 +44,6 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    // Branch-parallel backtracking: same strategy, same (byte-identical)
-    // schedules, but each candidate-II group's canonical + perturbed
-    // attempts fan across a 4-worker `BranchPool` inside the scheduler.
-    // Trending this next to `backtrack_4x16` pins the multicore speedup.
-    let par_search =
-        SearchConfig::for_strategy(SearchStrategyKind::Backtracking).with_branch_jobs(4);
-    g.bench_function("backtrack_par4_4x16", |b| {
-        b.iter(|| {
-            let summary = run_workbench_opts(
-                &exec,
-                &wb,
-                &machine,
-                SchedulerKind::MirsC,
-                PrefetchPolicy::HitLatency,
-                par_search,
-            );
-            std::hint::black_box(summary.sum_ii(|_| true))
-        })
-    });
     g.finish();
 }
 

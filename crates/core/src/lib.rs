@@ -65,7 +65,7 @@ mod spill;
 pub use error::ScheduleError;
 pub use options::{
     EjectionPolicy, PrefetchPolicy, SchedulerOptions, SearchConfig, SearchStrategyKind,
-    BRANCH_JOBS_ENV, EXACT_BUDGET_ENV, STRATEGY_ENV,
+    EXACT_BUDGET_ENV, STRATEGY_ENV,
 };
 pub use prefetch::apply_prefetch_policy;
 pub use result::{
@@ -75,6 +75,6 @@ pub use schedule::PartialSchedule;
 pub use scheduler::MirsScheduler;
 pub use scratch::SchedScratch;
 pub use search::{
-    AttemptReport, BacktrackingSearch, BranchExecutor, ExactSearch, InlineBranchExecutor,
-    LinearSearch, SearchMove, SearchStrategy, SearchView,
+    AttemptReport, BacktrackingSearch, ExactSearch, LinearSearch, SearchMove, SearchStrategy,
+    SearchView,
 };

@@ -36,15 +36,6 @@ pub enum PrefetchPolicy {
 /// [`SchedulerOptions`] always win over the environment.
 pub const STRATEGY_ENV: &str = "MIRS_STRATEGY";
 
-/// Environment variable setting the number of worker threads the
-/// [`SearchStrategyKind::Backtracking`] strategy may fan one candidate-II
-/// branch group across (`0`, `1` or unparsable values keep the serial
-/// in-process search). Branch-parallel execution needs an executor — the
-/// harness entry points install one; plain
-/// [`MirsScheduler::schedule_with`](crate::MirsScheduler::schedule_with)
-/// stays single-threaded regardless of this variable.
-pub const BRANCH_JOBS_ENV: &str = "MIRS_BRANCH_JOBS";
-
 /// Environment variable capping the [`SearchStrategyKind::Exact`]
 /// branch-and-bound certification budget, counted in residue-assignment
 /// expansions across all candidate IIs probed for one loop. `0` disables
@@ -166,14 +157,6 @@ pub struct SearchConfig {
     /// are derived from `(seed, ii, branch index)`, so every run of the
     /// same loop explores the identical tree.
     pub seed: u64,
-    /// Worker threads one candidate-II branch group of
-    /// [`SearchStrategyKind::Backtracking`] may be fanned across (via a
-    /// [`BranchExecutor`](crate::search::BranchExecutor) supplied by the
-    /// caller — the harness wires its sweep pool in). `1` (the default)
-    /// keeps the search serial and in-process. Results are byte-identical
-    /// for every value: branch attempts are independent by construction and
-    /// the merge is in deterministic attempt order.
-    pub branch_jobs: u32,
     /// Branch-and-bound budget of [`SearchStrategyKind::Exact`], counted in
     /// residue-assignment expansions summed over every candidate II probed
     /// for one loop. When the budget runs out the bound certified so far is
@@ -199,7 +182,6 @@ impl Default for SearchConfig {
             branches: 2,
             ii_window: 1,
             seed: 0x5eed_1e55_c0de_2026,
-            branch_jobs: 1,
             exact_budget: Self::DEFAULT_EXACT_BUDGET,
             prune: true,
         }
@@ -260,11 +242,10 @@ impl SearchConfig {
         self
     }
 
-    /// Builder-style setter for the branch-group worker count (clamped to
-    /// at least 1).
+    // Identity shim: `perfbench` still calls it; drop both with its next change.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_branch_jobs(mut self, jobs: u32) -> Self {
-        self.branch_jobs = jobs.max(1);
+    pub fn with_branch_jobs(self, _: u32) -> Self {
         self
     }
 
@@ -282,30 +263,21 @@ impl SearchConfig {
         self
     }
 
-    /// Configuration selected by the `MIRS_STRATEGY`, `MIRS_BRANCH_JOBS`,
-    /// `MIRS_EXACT_BUDGET` and `MIRS_PRUNE` environment
-    /// variables (default parameters for the named strategy;
-    /// [`SearchConfig::default`] when unset or unparsable).
+    /// Configuration selected by the `MIRS_STRATEGY`, `MIRS_EXACT_BUDGET`
+    /// and `MIRS_PRUNE` environment variables (default parameters for the
+    /// named strategy; [`SearchConfig::default`] when unset or unparsable).
     ///
     /// The variables are read once per process — sweeps consult this per
     /// scheduled loop and `std::env::var` takes a lock.
     #[must_use]
     pub fn from_env() -> Self {
         static KIND: std::sync::OnceLock<SearchStrategyKind> = std::sync::OnceLock::new();
-        static BRANCH_JOBS: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
         static EXACT_BUDGET: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
         let kind = *KIND.get_or_init(|| {
             std::env::var(STRATEGY_ENV)
                 .ok()
                 .and_then(|v| SearchStrategyKind::parse(&v))
                 .unwrap_or_default()
-        });
-        let branch_jobs = *BRANCH_JOBS.get_or_init(|| {
-            std::env::var(BRANCH_JOBS_ENV)
-                .ok()
-                .and_then(|v| v.parse::<u32>().ok())
-                .filter(|&j| j > 0)
-                .unwrap_or(1)
         });
         let exact_budget = *EXACT_BUDGET.get_or_init(|| {
             std::env::var(EXACT_BUDGET_ENV)
@@ -317,7 +289,6 @@ impl SearchConfig {
         let prune =
             *PRUNE.get_or_init(|| std::env::var(PRUNE_ENV).map(|v| v != "0").unwrap_or(true));
         Self::for_strategy(kind)
-            .with_branch_jobs(branch_jobs)
             .with_exact_budget(exact_budget)
             .with_prune(prune)
     }
@@ -503,14 +474,12 @@ mod tests {
             .with_branches(5)
             .with_ii_window(0)
             .with_seed(42)
-            .with_branch_jobs(0)
             .with_exact_budget(123)
             .with_prune(false);
         assert_eq!(cfg.strategy, SearchStrategyKind::Backtracking);
         assert_eq!(cfg.branches, 5);
         assert_eq!(cfg.ii_window, 1, "window clamps to at least 1");
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.branch_jobs, 1, "branch jobs clamp to at least 1");
         assert_eq!(cfg.exact_budget, 123);
         assert!(!cfg.prune);
         assert!(SearchConfig::default().prune);
@@ -523,8 +492,6 @@ mod tests {
             SearchConfig::default().exact_budget,
             SearchConfig::DEFAULT_EXACT_BUDGET
         );
-        assert_eq!(cfg.with_branch_jobs(4).branch_jobs, 4);
-        assert_eq!(SearchConfig::default().branch_jobs, 1);
         let o = SchedulerOptions::default().with_strategy(SearchStrategyKind::Exact);
         assert_eq!(o.search, SearchConfig::exact());
         let o = SchedulerOptions::default().with_search(cfg);

@@ -15,7 +15,7 @@ use crate::priority::PriorityList;
 use crate::result::{Placement, ScheduleResult, SchedulerStats, SearchMeta};
 use crate::schedule::PartialSchedule;
 use crate::scratch::{Ledger, SchedScratch};
-use crate::search::{BranchExecutor, InlineBranchExecutor, SearchDriver};
+use crate::search::SearchDriver;
 use crate::spill::SpillMemo;
 use ddg::collections::HashMap;
 use ddg::{DepGraph, Loop, NodeId};
@@ -176,6 +176,13 @@ impl<'m> MirsScheduler<'m> {
     /// with `MIRS_GRAPH_AUDIT=1`) each rollback asserts that it reproduced
     /// the attempt-start graph bit-identically.
     ///
+    /// Every strategy runs through the same single-threaded driver.
+    /// [`SearchStrategyKind::Exact`](crate::SearchStrategyKind::Exact)
+    /// first certifies a lower bound by branch-and-bound over the residue
+    /// relaxation, then climbs from that bound with the backtracking
+    /// exploration and stamps the resulting
+    /// [`SearchProof`](crate::SearchProof) on the result.
+    ///
     /// # Errors
     ///
     /// Same as [`MirsScheduler::schedule`].
@@ -183,39 +190,6 @@ impl<'m> MirsScheduler<'m> {
         &self,
         lp: &Loop,
         scratch: &mut SchedScratch,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        self.schedule_with_exec(lp, scratch, &InlineBranchExecutor)
-    }
-
-    /// [`MirsScheduler::schedule_with`] with a caller-supplied
-    /// [`BranchExecutor`] for the branch-parallel search path.
-    ///
-    /// When the options select
-    /// [`SearchStrategyKind::Backtracking`](crate::SearchStrategyKind::Backtracking) with
-    /// [`SearchConfig::branch_jobs`](crate::SearchConfig::branch_jobs)` > 1`,
-    /// the independent attempts of each candidate-II branch group are
-    /// fanned across `exec` (each on a private graph clone and scratch) and
-    /// merged in deterministic attempt order — the accepted schedule is
-    /// byte-identical to the serial search for any executor. Every other
-    /// configuration ignores `exec` and runs the incremental
-    /// single-threaded search: `Linear` reacts to each attempt's outcome
-    /// before choosing the next, so it has no independent branch set to
-    /// fan out.
-    /// [`SearchStrategyKind::Exact`](crate::SearchStrategyKind::Exact)
-    /// first certifies a lower bound by branch-and-bound over the residue
-    /// relaxation (serially — the bounding dominates and has no
-    /// independent branch set), then climbs from that bound with the
-    /// backtracking exploration and stamps the resulting
-    /// [`SearchProof`](crate::SearchProof) on the result.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MirsScheduler::schedule`].
-    pub fn schedule_with_exec(
-        &self,
-        lp: &Loop,
-        scratch: &mut SchedScratch,
-        exec: &dyn BranchExecutor,
     ) -> Result<ScheduleResult, ScheduleError> {
         if lp.graph.node_count() == 0 {
             return Err(ScheduleError::EmptyLoop {
@@ -225,10 +199,6 @@ impl<'m> MirsScheduler<'m> {
         let search = self.opts.search;
         if search.strategy == crate::SearchStrategyKind::Exact {
             SearchDriver::new(self, lp, scratch).run_exact()
-        } else if search.strategy == crate::SearchStrategyKind::Backtracking
-            && search.branch_jobs > 1
-        {
-            SearchDriver::new(self, lp, scratch).run_branch_parallel(exec)
         } else {
             let mut strategy = search.strategy_impl();
             SearchDriver::new(self, lp, scratch).run(strategy.as_dyn())

@@ -42,25 +42,6 @@
 //! cold attempts disappear. `SearchMeta::pruned_iis` and
 //! `SchedulerStats::relax_seconds` surface what the filter did and what
 //! it cost.
-//!
-//! # Branch-parallel execution
-//!
-//! The attempts inside one [`BacktrackingSearch`] candidate-II group — the
-//! canonical order plus [`SearchConfig::branches`] seeded perturbations —
-//! are mutually independent: each one starts from the pristine group-start
-//! graph (which the checkpoint discipline makes identical to the search
-//! root) and its outcome is a pure function of `(graph, order, ii,
-//! options)`. A [`BranchExecutor`] exploits that: when
-//! [`SearchConfig::branch_jobs`] `> 1`, the driver hands every group to the
-//! executor, each branch schedules a private graph clone with its own
-//! [`SchedScratch`], and the outcomes are merged *in branch order* through
-//! the same `(II, spill-ops, moves, earliest-attempt)` candidate
-//! comparison the serial driver uses — so the
-//! accepted schedule, `SearchMeta::attempts` and `SearchMeta::candidates`
-//! are byte-identical to the serial search for any worker count. The
-//! driver itself stays single-threaded: [`InlineBranchExecutor`] (the
-//! default) runs branches sequentially on the caller's thread, and the
-//! harness supplies a pool-backed executor built on its sweep engine.
 
 use crate::error::ScheduleError;
 use crate::options::{SearchConfig, SearchStrategyKind};
@@ -68,7 +49,6 @@ use crate::result::{ScheduleResult, SchedulerStats, SearchMeta, SearchProof};
 use crate::scheduler::{debug_enabled, graph_audit_enabled, AttemptOutcome, MirsScheduler};
 use crate::scratch::SchedScratch;
 use ddg::{hrms, mii, CheckpointStack, DepGraph, Loop, NodeId};
-use std::sync::Mutex;
 use std::time::Instant;
 use vliw::Opcode;
 
@@ -145,46 +125,6 @@ pub trait SearchStrategy {
     fn kind(&self) -> SearchStrategyKind;
     /// Decide the next move.
     fn next_move(&mut self, view: &SearchView) -> SearchMove;
-}
-
-/// Executes the independent attempts of one candidate-II branch group,
-/// possibly concurrently.
-///
-/// The driver calls [`BranchExecutor::run_branches`] once per group with
-/// the number of branches to run; the executor must invoke `job(index,
-/// scratch)` **exactly once** for every `index` in `0..branches` — in any
-/// order, with any concurrency — and return only after every invocation
-/// has finished. Each concurrent invocation needs exclusive access to a
-/// [`SchedScratch`]; reusing one scratch across sequential invocations is
-/// fine (the job fully re-initialises it).
-///
-/// The job is pure with respect to the executor: results land in
-/// per-branch slots owned by the driver, so scheduling outcomes are
-/// byte-identical for every conforming executor — from the serial
-/// [`InlineBranchExecutor`] to a thread pool. A panicking invocation may
-/// be propagated or may abort remaining branches; it must not be
-/// swallowed while reporting completion.
-pub trait BranchExecutor {
-    /// Run `job` for every branch index in `0..branches` and wait for all
-    /// of them.
-    fn run_branches(&self, branches: usize, job: &(dyn Fn(usize, &mut SchedScratch) + Sync));
-}
-
-/// The default [`BranchExecutor`]: runs every branch sequentially on the
-/// caller's thread with one reused scratch. With it, the branch-parallel
-/// driver degenerates to a serial search — this is what
-/// [`MirsScheduler::schedule_with`](crate::MirsScheduler::schedule_with)
-/// installs, keeping the core crate single-threaded by default.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct InlineBranchExecutor;
-
-impl BranchExecutor for InlineBranchExecutor {
-    fn run_branches(&self, branches: usize, job: &(dyn Fn(usize, &mut SchedScratch) + Sync)) {
-        let mut scratch = SchedScratch::default();
-        for index in 0..branches {
-            job(index, &mut scratch);
-        }
-    }
 }
 
 /// SplitMix64 mixing step — the deterministic seed/jitter generator used
@@ -404,34 +344,6 @@ struct Candidate {
     result: ScheduleResult,
 }
 
-/// What one fanned-out branch attempt produced, reported back to the
-/// driver through its per-branch slot.
-struct BranchOutcome {
-    /// The finished schedule on success (`stats` holds only this attempt's
-    /// own work counters; the merge folds the carried counters in).
-    result: Option<ScheduleResult>,
-    /// Spill operations of the schedule (candidate metric; 0 on failure).
-    spill_ops: u32,
-    /// Live moves of the schedule (candidate tie-break; 0 on failure).
-    moves: u32,
-    /// Work counters of a *failed* attempt (what the serial driver would
-    /// have carried into the next attempt's stats).
-    delta: SchedulerStats,
-    /// Wall-clock seconds of the attempt on its worker.
-    seconds: f64,
-}
-
-/// Fold the accumulative work counters of `delta` into `into` — exactly
-/// the fields [`MirsScheduler::attempt`] accumulates across restarts via
-/// the carried stats. Absolute fields (spill/move counts, memo counters,
-/// timing) are set at result-packaging time and must not be summed.
-fn accumulate(into: &mut SchedulerStats, delta: &SchedulerStats) {
-    into.attempts += delta.attempts;
-    into.ejections += delta.ejections;
-    into.forced += delta.forced;
-    into.moves_removed += delta.moves_removed;
-}
-
 /// Hard cap on attempts per loop — a backstop against a runaway custom
 /// strategy, far above anything the shipped strategies can reach.
 const MAX_ATTEMPTS_FLOOR: u32 = 4096;
@@ -466,12 +378,6 @@ pub(crate) struct SearchDriver<'a, 'm> {
     last_ii: u32,
     /// Candidate-II groups opened so far (`SearchMeta::groups`).
     groups: u32,
-    /// Wall-clock seconds summed over every finished attempt.
-    attempt_secs: f64,
-    /// Sum of the slowest attempt of every *closed* group (critical path).
-    critical_secs: f64,
-    /// Slowest attempt of the group currently open.
-    group_max_secs: f64,
     carried: SchedulerStats,
     view: SearchView,
     best: Option<Candidate>,
@@ -568,9 +474,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             group_ii: None,
             last_ii: mii_value.saturating_sub(1),
             groups: 0,
-            attempt_secs: 0.0,
-            critical_secs: 0.0,
-            group_max_secs: 0.0,
             carried: SchedulerStats::default(),
             view,
             best: None,
@@ -712,202 +615,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
         }
     }
 
-    /// Drive a [`BacktrackingSearch`] with every candidate-II branch group
-    /// fanned across `exec`, merging outcomes deterministically.
-    ///
-    /// This replays the exact attempt sequence of the serial strategy —
-    /// canonical order first, then [`SearchConfig::branches`] seeded
-    /// perturbations per II, the same group-end accept/climb/give-up rules
-    /// and the same global attempt cap — but runs each group's attempts on
-    /// private graph clones instead of one transactional working graph.
-    /// The two are equivalent because a group opens on the pristine root
-    /// state (the serial driver abandons to the search root before every
-    /// group) and an attempt's outcome is a pure function of
-    /// `(graph, order, ii, options)`; the golden-hash and cross-jobs tests
-    /// pin the equivalence.
-    pub(crate) fn run_branch_parallel(
-        mut self,
-        exec: &dyn BranchExecutor,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        let cfg = self.sched.options().search;
-        let kind = SearchStrategyKind::Backtracking;
-        let attempt_cap = MAX_ATTEMPTS_FLOOR.max(self.max_ii.saturating_mul(8));
-        if self.mii > self.max_ii {
-            return self.accept(kind);
-        }
-        // Branch attempts must never touch the shared base graph; with the
-        // audit on, every group re-checks it against this pristine copy.
-        let audit_base = if self.audit {
-            Some(self.graph.clone())
-        } else {
-            None
-        };
-        let mut ii = self.mii;
-        loop {
-            if self.should_prune(ii) {
-                // The relaxation proved this II infeasible: the whole
-                // canonical+branches group is skipped (the serial driver
-                // prunes each of its proposals individually — same
-                // counters, same pruned set), and the group-end decision
-                // below still runs so the climb matches the serial
-                // strategy move-for-move. The rollback audit has nothing
-                // to check — no branch ever ran.
-                self.note_pruned(ii, None);
-            } else {
-                // Exactly the attempts `BacktrackingSearch` would issue at
-                // this II, truncated by the attempt cap the serial driver
-                // enforces before every attempt.
-                let branches = (1 + cfg.branches).min(attempt_cap - self.attempts) as usize;
-                self.run_group(exec, ii, branches, &cfg);
-                if let Some(base) = &audit_base {
-                    assert!(
-                        self.graph.same_content(base),
-                        "branch-parallel search mutated the shared base graph of \
-                         loop '{}' at II {ii}",
-                        self.lp.name
-                    );
-                }
-            }
-            // `BacktrackingSearch::next_move`'s group-end decision, verbatim.
-            if let Some(best_ii) = self.best.as_ref().map(|c| c.key.ii) {
-                let explored_at_or_after = ii.saturating_sub(best_ii) + 1;
-                if explored_at_or_after >= cfg.ii_window.max(1) || ii + 1 > self.max_ii {
-                    return self.accept(kind);
-                }
-            } else if ii + 1 > self.max_ii {
-                return self.accept(kind);
-            }
-            if self.attempts >= attempt_cap {
-                return self.accept(kind);
-            }
-            ii += 1;
-        }
-    }
-
-    /// Fan one candidate-II branch group across the executor, then merge
-    /// the outcomes *in branch order* — which is the serial attempt order,
-    /// so the incumbent-best updates, failure counts and carried work
-    /// counters replay the serial search exactly, for any executor and any
-    /// worker count.
-    fn run_group(
-        &mut self,
-        exec: &dyn BranchExecutor,
-        ii: u32,
-        branches: usize,
-        cfg: &SearchConfig,
-    ) {
-        self.groups += 1;
-        self.group_ii = Some(ii);
-        self.last_ii = self.last_ii.max(ii);
-        let slots: Vec<Mutex<Option<BranchOutcome>>> = std::iter::repeat_with(|| Mutex::new(None))
-            .take(branches)
-            .collect();
-        {
-            let sched = self.sched;
-            let lp = self.lp;
-            let graph = &self.graph;
-            let order = &self.order;
-            let order_epoch = self.order_epoch;
-            let mem_ops_base = self.mem_ops_base;
-            let mii_value = self.mii;
-            let debug = self.debug;
-            let seed_base = cfg.seed;
-            let slots = &slots;
-            let job = move |branch: usize, scratch: &mut SchedScratch| {
-                let attempt_start = Instant::now();
-                // Private clone of the group-start graph (identical to the
-                // search root); the branch owns it outright, so no
-                // transaction is needed — failure drops it, success commits
-                // and moves it into the result.
-                let mut branch_graph = graph.clone();
-                let mut perturbed = Vec::new();
-                let branch_order: &[NodeId] = if branch == 0 {
-                    order
-                } else {
-                    let seed = derive_seed(seed_base, ii, branch as u32);
-                    perturb_order(order, seed, &mut perturbed);
-                    &perturbed
-                };
-                // The pooled scratch may have served another loop (or
-                // another branch of this one): re-anchor the memo to this
-                // clone's epoch. Outcomes cannot depend on scratch history.
-                scratch
-                    .spill_memo_mut()
-                    .begin_loop(&branch_graph, order_epoch);
-                scratch.spill_memo_mut().begin_attempt();
-                let mut delta = SchedulerStats::default();
-                let outcome = sched.attempt(
-                    &mut branch_graph,
-                    branch_order,
-                    ii,
-                    mem_ops_base,
-                    debug,
-                    scratch,
-                    &mut delta,
-                );
-                let (result, spill_ops, moves) = match outcome {
-                    AttemptOutcome::Restart => (None, 0, 0),
-                    AttemptOutcome::Success(st) => {
-                        let spill_ops = st.spill_op_count();
-                        let moves = st.move_op_count();
-                        let result = st.into_result(scratch, &lp.name, mii_value, true);
-                        (Some(result), spill_ops, moves)
-                    }
-                };
-                let out = BranchOutcome {
-                    result,
-                    spill_ops,
-                    moves,
-                    delta,
-                    seconds: attempt_start.elapsed().as_secs_f64(),
-                };
-                *slots[branch].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            };
-            exec.run_branches(branches, &job);
-        }
-        for (branch, slot) in slots.into_iter().enumerate() {
-            let out = slot
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "BranchExecutor contract violation: branch {branch} of \
-                         loop '{}' was never run",
-                        self.lp.name
-                    )
-                });
-            self.attempts += 1;
-            self.attempt_secs += out.seconds;
-            self.group_max_secs = self.group_max_secs.max(out.seconds);
-            match out.result {
-                None => {
-                    self.failures += 1;
-                    accumulate(&mut self.carried, &out.delta);
-                }
-                Some(mut result) => {
-                    self.successes += 1;
-                    // Fold in the counters carried over failed attempts,
-                    // as the serial driver threads them through the
-                    // attempt's stats; a success always consumes them.
-                    accumulate(&mut result.stats, &self.carried);
-                    self.carried = SchedulerStats::default();
-                    result.stats.restarts = self.failures;
-                    let key = CandidateKey {
-                        ii,
-                        spill_ops: out.spill_ops,
-                        moves: out.moves,
-                        attempt: self.attempts,
-                    };
-                    if self.best.as_ref().is_none_or(|b| key < b.key) {
-                        self.best = Some(Candidate { key, result });
-                    }
-                }
-            }
-        }
-        self.critical_secs += self.group_max_secs;
-        self.group_max_secs = 0.0;
-    }
-
     /// Execute one attempt and feed the outcome to the strategy. Returns
     /// `Some(result)` when the attempt was accepted in place.
     fn run_attempt(
@@ -929,8 +636,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             self.cps.push(&mut self.graph);
             self.group_ii = Some(ii);
             self.groups += 1;
-            self.critical_secs += self.group_max_secs;
-            self.group_max_secs = 0.0;
         }
         self.last_ii = self.last_ii.max(ii);
         self.attempts += 1;
@@ -951,7 +656,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             }
             None => &self.order,
         };
-        let attempt_start = Instant::now();
         let outcome = self.sched.attempt(
             &mut self.graph,
             order,
@@ -961,9 +665,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             self.scratch,
             &mut self.carried,
         );
-        let attempt_secs = attempt_start.elapsed().as_secs_f64();
-        self.attempt_secs += attempt_secs;
-        self.group_max_secs = self.group_max_secs.max(attempt_secs);
         match outcome {
             AttemptOutcome::Restart => {
                 self.cps.abandon(&mut self.graph);
@@ -1104,8 +805,6 @@ impl<'a, 'm> SearchDriver<'a, 'm> {
             attempts: self.attempts,
             candidates: self.successes,
             groups: self.groups,
-            branch_attempt_seconds: self.attempt_secs,
-            branch_critical_seconds: self.critical_secs + self.group_max_secs,
             pruned_iis,
             proof,
         };

@@ -79,7 +79,6 @@ impl SnapEncode for SearchConfig {
         w.put_u32(self.branches);
         w.put_u32(self.ii_window);
         w.put_u64(self.seed);
-        w.put_u32(self.branch_jobs);
         w.put_u64(self.exact_budget);
         w.put_u8(u8::from(self.prune));
     }
@@ -92,7 +91,6 @@ impl SnapDecode for SearchConfig {
             branches: r.get_u32()?,
             ii_window: r.get_u32()?,
             seed: r.get_u64()?,
-            branch_jobs: r.get_u32()?,
             exact_budget: r.get_u64()?,
             prune: r.get_u8()? != 0,
         })
@@ -143,8 +141,6 @@ impl SnapEncode for SearchMeta {
         w.put_u32(self.attempts);
         w.put_u32(self.candidates);
         w.put_u32(self.groups);
-        w.put_f64(self.branch_attempt_seconds);
-        w.put_f64(self.branch_critical_seconds);
         w.put_u32(self.pruned_iis);
         self.proof.encode_snap(w);
     }
@@ -157,8 +153,6 @@ impl SnapDecode for SearchMeta {
             attempts: r.get_u32()?,
             candidates: r.get_u32()?,
             groups: r.get_u32()?,
-            branch_attempt_seconds: r.get_f64()?,
-            branch_critical_seconds: r.get_f64()?,
             pruned_iis: r.get_u32()?,
             proof: SnapDecode::decode_snap(r)?,
         })
@@ -341,7 +335,6 @@ mod tests {
         let cfg = SearchConfig::backtracking()
             .with_branches(5)
             .with_seed(42)
-            .with_branch_jobs(4)
             .with_exact_budget(9_001)
             .with_prune(false);
         let blob = vliw::snap::encode_blob(*b"TCFG", &cfg);
@@ -362,8 +355,6 @@ mod tests {
                 attempts: 3,
                 candidates: 1,
                 groups: 1,
-                branch_attempt_seconds: 0.0,
-                branch_critical_seconds: 0.0,
                 pruned_iis: 4,
                 proof,
             };

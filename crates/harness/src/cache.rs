@@ -12,9 +12,8 @@
 //! [`cache_key`] hashes the loop's structural fingerprint
 //! ([`ddg::snap::loop_fingerprint`]), the machine configuration name, the
 //! scheduler kind, the prefetch policy and the search parameters
-//! (`branches`, `ii_window`, `seed`). The search **strategy** and
-//! `branch_jobs` are deliberately *excluded*: branch-parallel execution is
-//! byte-identical to serial, and strategies form a quality ladder over the
+//! (`branches`, `ii_window`, `seed`). The search **strategy** is
+//! deliberately *excluded*: strategies form a quality ladder over the
 //! same problem, which enables the refinement rule below.
 //!
 //! # Serve rule and refinement
@@ -124,7 +123,7 @@ impl std::fmt::Display for CacheKey {
 
 /// Compute the cache key of one scheduling problem.
 ///
-/// The search `strategy` and `branch_jobs` are *not* part of the key (see
+/// The search `strategy` is *not* part of the key (see
 /// the module docs): all strategies address the same entry, which is what
 /// lets a Backtracking run refine a Linear entry in place.
 #[must_use]
@@ -647,9 +646,8 @@ mod tests {
         let lp = daxpy();
         let base = SearchConfig::default();
         let key = problem_key(&lp, &base);
-        // Strategy and branch_jobs are not part of the key.
+        // The strategy is not part of the key.
         assert_eq!(key, problem_key(&lp, &SearchConfig::backtracking()));
-        assert_eq!(key, problem_key(&lp, &base.with_branch_jobs(8)));
         // Everything else is.
         assert_ne!(key, problem_key(&lp, &base.with_seed(99)));
         let other_machine = MachineConfig::paper_config(4, 16).unwrap();

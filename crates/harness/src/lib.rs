@@ -41,14 +41,8 @@
 //! explicit `mirs::SearchConfig` instead, which is how one process
 //! compares several strategies. Strategy exploration is seed-derived and
 //! deterministic, so the parallel-equals-serial guarantee above holds for
-//! every strategy.
-//!
-//! The `backtrack` strategy can additionally fan the independent attempts
-//! of each candidate-II branch group across a nested [`sweep::BranchPool`]
-//! (`MIRS_BRANCH_JOBS` workers, default 1). Branch outcomes are merged in
-//! deterministic attempt order, so schedules stay byte-identical to the
-//! serial search for any `MIRS_JOBS` × `MIRS_BRANCH_JOBS` combination;
-//! nested pools clamp themselves to the cores the outer sweep leaves free.
+//! every strategy. Each loop's search runs serially inside its sweep
+//! task; the sweep is the only layer that spreads work across threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,4 +65,4 @@ pub use runner::{
     SweepJob, WorkbenchSummary,
 };
 pub use service::{Provenance, ScheduleRequest, ScheduleResponse, ScheduleService};
-pub use sweep::{BranchPool, CancelToken, SweepError, SweepExecutor, SweepHooks};
+pub use sweep::{SweepError, SweepExecutor};

@@ -5,7 +5,7 @@
 //! (crate::sweep): loops are independent tasks, outcomes are collected by
 //! loop index, and a parallel run is byte-identical to a serial one.
 
-use crate::sweep::{BranchPool, SweepExecutor};
+use crate::sweep::SweepExecutor;
 use baseline::{BaselineOptions, BaselineScheduler};
 use ddg::Loop;
 use loopgen::Workbench;
@@ -151,9 +151,7 @@ impl WorkbenchSummary {
 
 /// Schedule one loop with the chosen scheduler (fresh scratch buffers; the
 /// sweep paths use [`schedule_loop_with`] to reuse a per-worker scratch).
-/// The II-search strategy comes from `MIRS_STRATEGY` (default: linear) and
-/// its branch-group fan-out width from `MIRS_BRANCH_JOBS` (default: 1,
-/// serial).
+/// The II-search strategy comes from `MIRS_STRATEGY` (default: linear).
 #[must_use]
 pub fn schedule_loop(
     lp: &Loop,
@@ -213,14 +211,9 @@ pub fn schedule_loop_opts(
             let opts = SchedulerOptions::default()
                 .with_prefetch(prefetch)
                 .with_search(search);
-            let sched = MirsScheduler::new(machine, opts);
-            // Branch-parallel Backtracking fans each candidate-II group
-            // across a sub-pool; outcomes are byte-identical to the serial
-            // search, so this only changes wall-clock time.
-            match BranchPool::for_search(&search) {
-                Some(pool) => sched.schedule_with_exec(lp, scratch, &pool).ok(),
-                None => sched.schedule_with(lp, scratch).ok(),
-            }
+            MirsScheduler::new(machine, opts)
+                .schedule_with(lp, scratch)
+                .ok()
         }
         SchedulerKind::Baseline => {
             let opts = BaselineOptions {

@@ -56,8 +56,10 @@ use std::fmt;
 /// pruned-II counters (and relax timing) and `SearchConfig` the
 /// admission-filter flag; 5 — `SearchMeta` lost the salvaged/replaced op
 /// counts, `SearchConfig` the restart-salvage flag and the retry count,
-/// and the perturbed-restart strategy tag (2) is no longer decoded.
-pub const FORMAT_VERSION: u16 = 5;
+/// and the perturbed-restart strategy tag (2) is no longer decoded; 6 —
+/// `SearchMeta` lost the two per-attempt timing fields and `SearchConfig`
+/// the branch worker count.
+pub const FORMAT_VERSION: u16 = 6;
 
 /// Envelope magic for [`MachineConfig`] snapshots.
 pub const MACHINE_MAGIC: [u8; 4] = *b"MMCH";

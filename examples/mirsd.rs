@@ -98,8 +98,8 @@ fn main() {
         }),
         None => SearchConfig::from_env().strategy,
     };
-    // Keep the env-derived knobs (branch_jobs, exact_budget); only the
-    // strategy is overridden by the flag.
+    // Keep the env-derived knobs (exact_budget, prune); only the strategy
+    // is overridden by the flag.
     let search = SearchConfig {
         strategy,
         ..SearchConfig::from_env()

@@ -126,13 +126,8 @@ fn main() {
     for (k, regs) in [(1u32, 64u32), (2, 32), (4, 16)] {
         let machine = MachineConfig::paper_config(k, regs).expect("paper config");
         for &strategy in &strategies {
-            // Keep the environment's MIRS_BRANCH_JOBS even when --strategy
-            // overrides the strategy list, so audit runs can drive the
-            // branch-parallel path through this example.
-            let env_search = SearchConfig::from_env();
             let search = SearchConfig::for_strategy(strategy)
-                .with_branch_jobs(env_search.branch_jobs)
-                .with_prune(env_search.prune && !flag_set("no-prune"));
+                .with_prune(SearchConfig::from_env().prune && !flag_set("no-prune"));
             // The metrics pass doubles as one of the timed passes when the
             // cache is off: its wall clock and aggregate scheduling seconds
             // fold into the trial below, so the SII/spill columns cost no

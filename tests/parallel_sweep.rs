@@ -7,11 +7,13 @@
 //! hashes) this is the contract that lets `MIRS_JOBS` default to all cores
 //! without the experiment outputs ever depending on thread interleaving.
 
-use harness::runner::{run_sweep, run_workbench_with, SweepJob, WorkbenchSummary};
+use harness::runner::{
+    run_sweep, run_workbench_opts, run_workbench_with, SweepJob, WorkbenchSummary,
+};
 use harness::sweep::{SweepError, SweepExecutor};
 use harness::SchedulerKind;
 use loopgen::{Workbench, WorkbenchParams};
-use mirs::PrefetchPolicy;
+use mirs::{PrefetchPolicy, SearchConfig};
 use proptest::prelude::*;
 use vliw::MachineConfig;
 
@@ -43,15 +45,16 @@ fn assert_identical(a: &WorkbenchSummary, b: &WorkbenchSummary, label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, .. ProptestConfig::default() })]
 
-    /// `run_workbench` with 1, 2 and N threads — at several task-claim
-    /// chunk sizes — yields identical outcome vectors and identical
-    /// schedule hashes on randomized workbenches. Chunked claiming and
-    /// per-worker scratch reuse are scheduling-granularity decisions only;
-    /// neither may leak into the results.
+    /// `run_workbench` with 1, 2 and N threads yields identical outcome
+    /// vectors and identical schedule hashes on randomized workbenches.
+    /// Bags of 16 or more loops are claimed two tasks at a time on two
+    /// workers, smaller ones one at a time. Chunked claiming and per-worker
+    /// scratch reuse are scheduling-granularity decisions only; neither may
+    /// leak into the results.
     #[test]
     fn workbench_outcomes_are_identical_for_any_worker_count_and_chunk(
         seed in 0u64..500,
-        loops in 4usize..9,
+        loops in 4usize..24,
         clusters_pow in 0u32..3,
         regs_idx in 0usize..3,
     ) {
@@ -63,24 +66,25 @@ proptest! {
         let k = 1u32 << clusters_pow;
         let regs = [16u32, 32, 64][regs_idx];
         let machine = MachineConfig::paper_config(k, regs).unwrap();
-        let run = |jobs: usize, chunk: usize| {
+        let run = |jobs: usize| {
             run_workbench_with(
-                &SweepExecutor::new(jobs).with_chunk(chunk),
+                &SweepExecutor::new(jobs),
                 &wb,
                 &machine,
                 SchedulerKind::MirsC,
                 PrefetchPolicy::HitLatency,
             )
         };
-        let serial = run(1, 1);
-        for (jobs, chunk) in [(1, 8), (2, 1), (2, 8), (8, 3), (8, 64)] {
-            let parallel = run(jobs, chunk);
-            assert_identical(&serial, &parallel, &format!("{jobs} workers, chunk {chunk}"));
+        let serial = run(1);
+        for jobs in [2, 3, 8] {
+            let parallel = run(jobs);
+            assert_identical(&serial, &parallel, &format!("{jobs} workers, {loops} loops"));
         }
     }
 }
 
-/// A flattened multi-config sweep equals per-config serial runs, job by job.
+/// A flattened multi-config sweep equals per-config serial runs, job by job,
+/// for the branching search too.
 #[test]
 fn run_sweep_matches_per_config_serial_runs() {
     let wb = Workbench::generate(&WorkbenchParams {
@@ -92,12 +96,21 @@ fn run_sweep_matches_per_config_serial_runs() {
         SweepJob::baseline(MachineConfig::paper_config(1, 64).unwrap()),
         SweepJob::mirs(MachineConfig::paper_config(2, 32).unwrap()),
         SweepJob::mirs(MachineConfig::paper_config(4, 16).unwrap()),
+        SweepJob::mirs(MachineConfig::paper_config(4, 16).unwrap())
+            .with_search(SearchConfig::backtracking()),
     ];
     let parallel = run_sweep(&SweepExecutor::new(4), &wb, &jobs);
     assert_eq!(parallel.len(), jobs.len());
     let serial = SweepExecutor::serial();
     for (job, got) in jobs.iter().zip(&parallel) {
-        let want = run_workbench_with(&serial, &wb, &job.machine, job.scheduler, job.prefetch);
+        let want = run_workbench_opts(
+            &serial,
+            &wb,
+            &job.machine,
+            job.scheduler,
+            job.prefetch,
+            job.search,
+        );
         assert_eq!(got.scheduler, job.scheduler);
         assert_identical(&want, got, &job.machine.name());
     }

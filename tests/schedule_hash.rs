@@ -104,8 +104,7 @@ fn schedules_are_reproducible_on_the_four_cluster_machine_linear() {
 #[test]
 fn schedules_are_reproducible_on_the_four_cluster_machine_backtracking() {
     let machine = MachineConfig::paper_config(4, 16).unwrap();
-    let opts =
-        SchedulerOptions::default().with_search(SearchConfig::backtracking().with_branch_jobs(1));
+    let opts = SchedulerOptions::default().with_search(SearchConfig::backtracking());
     let h = hot_path_hash(&machine, opts, 40);
     assert_eq!(
         h, GOLDEN_4X16_BACKTRACKING,

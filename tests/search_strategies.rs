@@ -11,12 +11,9 @@
 //!   4-cluster configuration;
 //! * every strategy is deterministic (same loop, same machine, same hash)
 //!   and records its metadata in `ScheduleResult::search`;
-//! * the branch-parallel `Backtracking` path (`SearchConfig::branch_jobs >
-//!   1`, fanned across a `harness::sweep::BranchPool`) is byte-identical
-//!   to the serial search for any worker count — including when the outer
-//!   workbench sweep already saturates the machine's cores.
+//! * every strategy gives up with `NotConverged` when no II up to
+//!   `max_ii` can be reached.
 
-use harness::sweep::BranchPool;
 use loopgen::{Workbench, WorkbenchParams};
 use mirs::{
     MirsScheduler, SchedScratch, ScheduleResult, SchedulerOptions, SearchConfig, SearchProof,
@@ -173,39 +170,6 @@ fn every_strategy_is_deterministic() {
     }
 }
 
-/// Schedule with an explicit branch-job count, routing through a
-/// [`BranchPool`] exactly as the harness runners do (`branch_jobs <= 1`
-/// and non-`Backtracking` strategies take the serial in-process path).
-fn schedule_jobs(
-    machine: &MachineConfig,
-    lp: &ddg::Loop,
-    search: SearchConfig,
-    branch_jobs: u32,
-    scratch: &mut SchedScratch,
-) -> ScheduleResult {
-    let search = search.with_branch_jobs(branch_jobs);
-    let opts = SchedulerOptions::default().with_search(search);
-    let sched = MirsScheduler::new(machine, opts);
-    match BranchPool::for_search(&search) {
-        Some(pool) => sched.schedule_with_exec(lp, scratch, &pool),
-        None => sched.schedule_with(lp, scratch),
-    }
-    .expect("workbench loops converge")
-}
-
-/// Everything observable about the search outcome that must not depend on
-/// the branch-job count.
-fn outcome_fingerprint(r: &ScheduleResult) -> (u64, u32, u32, u32, u32, mirs::SearchMeta) {
-    (
-        r.schedule_hash(),
-        r.ii,
-        r.stats.restarts,
-        spill_ops(r),
-        r.stats.moves,
-        r.search,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
@@ -257,117 +221,26 @@ proptest! {
             }
         }
     }
-
-    /// `MIRS_BRANCH_JOBS=1` and `=4` produce byte-identical schedules and
-    /// identical `SearchMeta` on randomized workbenches, for every
-    /// strategy. For `Backtracking` this crosses three implementations:
-    /// the serial incremental driver (`branch_jobs = 1`), the group-merge
-    /// driver run inline (`branch_jobs = 4` through the default executor)
-    /// and the group-merge driver fanned across a real thread pool.
-    #[test]
-    fn branch_jobs_one_and_four_are_byte_identical(
-        seed in 0u64..400,
-        loops in 3usize..7,
-        clusters_pow in 1u32..3,
-    ) {
-        let wb = Workbench::generate(&WorkbenchParams {
-            loops,
-            seed,
-            ..WorkbenchParams::default()
-        });
-        let k = 1u32 << clusters_pow;
-        let machine = MachineConfig::paper_config(k, 64 / k).unwrap();
-        let mut scratch = SchedScratch::new();
-        for cfg in [SearchConfig::linear(), SearchConfig::backtracking()] {
-            for lp in wb.loops() {
-                let serial = schedule_jobs(&machine, lp, cfg, 1, &mut scratch);
-                let fanned = schedule_jobs(&machine, lp, cfg, 4, &mut scratch);
-                prop_assert_eq!(
-                    outcome_fingerprint(&serial),
-                    outcome_fingerprint(&fanned),
-                    "{}/{}: branch_jobs=4 diverged from serial", cfg.strategy, lp.name
-                );
-                // Inline group-merge driver (no pool): also identical.
-                let opts = SchedulerOptions::default()
-                    .with_search(cfg.with_branch_jobs(4));
-                let inline = MirsScheduler::new(&machine, opts)
-                    .schedule_with(lp, &mut scratch)
-                    .expect("workbench loops converge");
-                prop_assert_eq!(
-                    outcome_fingerprint(&serial),
-                    outcome_fingerprint(&inline),
-                    "{}/{}: inline branch groups diverged from serial", cfg.strategy, lp.name
-                );
-            }
-        }
-    }
 }
 
-/// A branch pool opened while the *outer* workbench sweep already
-/// saturates every core must neither deadlock nor change results: the
-/// nested pools clamp themselves to the free cores (degrading to in-thread
-/// runs) and the merge order is deterministic either way.
+/// An unreachable `max_ii` makes every strategy give up with
+/// `NotConverged` — never a hang, never a bogus schedule. For `Exact` this
+/// covers the certifier and its climb giving up too.
 #[test]
-fn nested_branch_pools_under_a_saturated_outer_sweep_match_serial() {
-    use harness::runner::{run_workbench_opts, SchedulerKind};
-    use harness::sweep::SweepExecutor;
-    use mirs::PrefetchPolicy;
-
-    let wb = workbench(16);
-    let machine = MachineConfig::paper_config(4, 16).unwrap();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    // More outer workers than cores: every branch pool is opened from a
-    // worker of an already-oversubscribed sweep.
-    let outer = SweepExecutor::new(cores * 2).with_chunk(1);
-    let fanned = run_workbench_opts(
-        &outer,
-        &wb,
-        &machine,
-        SchedulerKind::MirsC,
-        PrefetchPolicy::HitLatency,
-        SearchConfig::backtracking().with_branch_jobs(4),
-    );
-    let serial = run_workbench_opts(
-        &SweepExecutor::serial(),
-        &wb,
-        &machine,
-        SchedulerKind::MirsC,
-        PrefetchPolicy::HitLatency,
-        SearchConfig::backtracking(),
-    );
-    assert_eq!(serial.outcomes.len(), fanned.outcomes.len());
-    for (a, b) in serial.outcomes.iter().zip(&fanned.outcomes) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.ii, b.ii, "II of {}", a.name);
-        let ha = a.result.as_ref().map(outcome_fingerprint);
-        let hb = b.result.as_ref().map(outcome_fingerprint);
-        assert_eq!(ha, hb, "fingerprint of {}", a.name);
-    }
-}
-
-/// Giving up must agree across the serial and branch-parallel drivers: an
-/// unreachable `max_ii` yields `NotConverged` (never a hang, never a
-/// bogus schedule) on both paths.
-#[test]
-fn branch_parallel_not_converged_matches_serial() {
+fn unreachable_max_ii_is_not_converged_for_every_strategy() {
     let wb = workbench(4);
     let machine = MachineConfig::paper_config(4, 16).unwrap();
     let mut scratch = SchedScratch::new();
     for lp in wb.loops() {
-        for branch_jobs in [1u32, 4] {
-            let mut opts = SchedulerOptions::default()
-                .with_search(SearchConfig::backtracking().with_branch_jobs(branch_jobs));
+        for kind in SearchStrategyKind::ALL {
+            let mut opts = SchedulerOptions::default().with_strategy(kind);
             opts.max_ii = 0; // below any feasible II
-            let sched = MirsScheduler::new(&machine, opts);
-            let pool = BranchPool::new(branch_jobs as usize);
-            let err = sched
-                .schedule_with_exec(lp, &mut scratch, &pool)
+            let err = MirsScheduler::new(&machine, opts)
+                .schedule_with(lp, &mut scratch)
                 .expect_err("max_ii 0 cannot converge");
             assert!(
                 matches!(err, mirs::ScheduleError::NotConverged { .. }),
-                "{}: branch_jobs={branch_jobs} returned {err:?}",
+                "{}: {kind} returned {err:?}",
                 lp.name
             );
         }
